@@ -6,7 +6,7 @@ It measures
 * the operating-point-reuse speedup of the bench simulator (shared bias vs
   the naive one-solve-per-analysis mode) on a multi-analysis bench,
 * nominal-vs-five-corner wall time for the ``two_stage_opamp_corners``
-  robust-sizing problem (serial and thread fan-out), and
+  robust-sizing problem (serial fan-out), and
 
 emits one machine-readable ``BENCH_CORNERS {json}`` line so CI can track
 regressions, next to the usual human-readable table.
@@ -69,20 +69,11 @@ def test_bench_corners():
 
     # -- nominal vs five-corner wall time -------------------------------- #
     nominal_s = _time_simulations(problem.simulate, designs)
-    corner_problems = {name: make_problem("two_stage_opamp_corners",
-                                          backend=name, max_workers=5)
-                       for name in ("serial", "thread")}
-    corner_seconds = {}
-    try:
-        for name, corner_problem in corner_problems.items():
-            corner_problem.simulate(designs[0])  # warm any pool untimed
-            corner_seconds[name] = _time_simulations(corner_problem.simulate,
-                                                     designs)
-    finally:
-        for corner_problem in corner_problems.values():
-            corner_problem.close()
-    n_corners = len(corner_problems["serial"].corners)
-    per_corner_overhead = corner_seconds["serial"] / (nominal_s * n_corners)
+    with make_problem("two_stage_opamp_corners") as corner_problem:
+        corner_problem.simulate(designs[0])  # warm up untimed
+        corners_s = _time_simulations(corner_problem.simulate, designs)
+        n_corners = len(corner_problem.corners)
+    per_corner_overhead = corners_s / (nominal_s * n_corners)
 
     record = {
         "n_designs": n_designs,
@@ -91,19 +82,17 @@ def test_bench_corners():
         "bench_shared_s": round(shared_s, 4),
         "bench_naive_s": round(naive_s, 4),
         "nominal_s": round(nominal_s, 4),
-        "corners_serial_s": round(corner_seconds["serial"], 4),
-        "corners_thread_s": round(corner_seconds["thread"], 4),
+        "corners_serial_s": round(corners_s, 4),
         "corner_overhead_vs_ideal": round(per_corner_overhead, 3),
     }
     record_bench("BENCH_CORNERS", record)
     record_report(
         f"Testbench corners ({n_designs} designs): OP-reuse speedup "
         f"{reuse_speedup:.2f}x on a 4-analysis bench; 5-corner sweep "
-        f"{corner_seconds['serial']:.2f}s serial / "
-        f"{corner_seconds['thread']:.2f}s thread vs {nominal_s:.2f}s nominal "
+        f"{corners_s:.2f}s serial vs {nominal_s:.2f}s nominal "
         f"({per_corner_overhead:.2f}x the ideal {n_corners}x cost)")
 
     # Guard rails, generous for CI noise: sharing the bias must never lose,
     # and the five-corner sweep must stay within a sane multiple of nominal.
     assert reuse_speedup > 1.1
-    assert corner_seconds["serial"] < nominal_s * n_corners * 3.0
+    assert corners_s < nominal_s * n_corners * 3.0

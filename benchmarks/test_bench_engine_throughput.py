@@ -23,7 +23,7 @@ from repro.spice import ac_analysis, dc_operating_point
 
 from conftest import budget, record_bench, record_report
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def _measure_backend(backend_name: str, x: np.ndarray) -> dict[str, float]:

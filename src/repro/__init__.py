@@ -19,7 +19,7 @@ The package is organised bottom-up:
   Transfer Learning (Algorithm 1).
 * :mod:`repro.baselines` -- MESMOC, USeMOC, TLMBO and human-expert designs.
 * :mod:`repro.engine` -- the batched evaluation engine: pluggable
-  serial/thread/process execution backends, a content-hash design cache and
+  serial/batched/process execution backends, a content-hash design cache and
   failure isolation for every ``evaluate_batch`` in the library.
 * :mod:`repro.mc` -- Monte Carlo mismatch & yield: Pelgrom variation cards
   on the technology nodes, seeded stream-splittable samplers, and

@@ -16,8 +16,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 # Graph-construction state is thread-local so concurrent forward passes (the
-# engine's ThreadBackend runs simulations and surrogate evaluations on worker
-# threads) cannot observe a ``no_grad`` entered on another thread.
+# ``--spawn-workers`` service workers and the HTTP server run on threads of
+# one process) cannot observe a ``no_grad`` entered on another thread.
 _GRAD_STATE = threading.local()
 
 

@@ -6,8 +6,8 @@ process letters scale the :class:`~repro.pdk.Technology` device models (see
 every analysis of the testbench.  :class:`CornerSweep` fans per-corner
 simulations through the same pluggable execution backends the batched
 :class:`~repro.engine.EvaluationEngine` uses, so a five-corner evaluation of
-one design overlaps on thread/process backends exactly like a five-design
-batch would.
+one design overlaps on the process backend (or shares one stacked solve on
+the batched backend) exactly like a five-design batch would.
 
 :func:`~repro.bench.aggregate.worst_case_metrics` (re-exported here) folds
 per-corner metric dictionaries into the one robust-sizing view: each
@@ -152,13 +152,11 @@ class CornerSweep(BackendOwner):
     corners:
         The :class:`CornerSpec` conditions, nominal first by convention.
     backend:
-        Backend name (``"serial"``/``"thread"``/``"process"``), instance or
-        ``None`` for the environment default -- the same resolution rules as
-        :class:`~repro.engine.EvaluationEngine`.  Inside an engine worker the
-        default resolves to serial, so corner fan-out composes with design
-        fan-out without spawning pools of pools.
+        Backend name (``"serial"``/``"batched"``/``"process"``), instance or
+        ``None`` for serial -- the same resolution rules as
+        :class:`~repro.engine.EvaluationEngine`.
     max_workers:
-        Worker count for pooled backends created from a name.
+        Worker count for a process backend created from a name.
     """
 
     def __init__(self, corners: tuple[CornerSpec, ...] | list[CornerSpec],

@@ -44,9 +44,8 @@ def _build_mace(cls, problem, rng, context):
 
     On unconstrained (FOM) problems this is plain MACE; on constrained
     problems it is the original six-objective constrained MACE
-    (``ConstrainedMACE(variant="full")``), exactly as the retired
-    ``build_fom_optimizer`` / ``build_constrained_optimizer`` factories
-    dispatched the shared "mace" name.
+    (``ConstrainedMACE(variant="full")``), so the one "mace" name serves
+    both the FOM and the constrained experiments.
     """
     quick = context.quick
     kwargs = context.constructor_kwargs(

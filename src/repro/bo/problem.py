@@ -95,10 +95,9 @@ class OptimizationProblem:
         self._engine = None
 
     def __getstate__(self) -> dict:
-        # The attached engine may own thread/process pools, which cannot be
-        # pickled; a worker receiving a problem rebuilds a default engine
-        # lazily (always serial inside process-pool workers, so fanned-out
-        # optimizers cannot recursively spawn pools of pools).
+        # The attached engine may own a process pool, which cannot be
+        # pickled; a worker receiving a problem rebuilds a default (serial)
+        # engine lazily, so fanned-out optimizers never spawn pools of pools.
         state = self.__dict__.copy()
         state["_engine"] = None
         return state
@@ -218,7 +217,7 @@ class OptimizationProblem:
 
         Created lazily (serial backend, caching on) so plain problems work
         with zero configuration; replace it with :meth:`attach_engine` to opt
-        into thread/process execution or a shared cache.
+        into batched/process execution or a shared cache.
         """
         if getattr(self, "_engine", None) is None:
             from repro.engine import EvaluationEngine

@@ -56,10 +56,9 @@ class CornerSizingProblem(CircuitSizingProblem):
         is the aggregation reference and should be the nominal one.
     backend:
         Execution backend for the corner fan-out (name, instance or ``None``
-        for the environment default).  Composes with design-level dispatch:
-        inside an engine worker the default resolves to serial.
+        for serial).
     max_workers:
-        Worker count for pooled backends created from a name.
+        Worker count for a process backend created from a name.
     base_kwargs:
         Forwarded to every per-corner instance of ``base_cls``.
     """

@@ -63,10 +63,9 @@ class YieldSizingProblem(CircuitSizingProblem):
         for the defaults.
     backend:
         Execution backend for the sample fan-out (name, instance or ``None``
-        for the environment default).  Composes with design-level dispatch:
-        inside an engine worker the default resolves to serial.
+        for serial).
     max_workers:
-        Worker count for pooled backends created from a name.
+        Worker count for a process backend created from a name.
     base_kwargs:
         Forwarded to the wrapped ``base_cls``.
     """

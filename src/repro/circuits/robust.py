@@ -81,7 +81,7 @@ class RobustSizingProblem(CircuitSizingProblem):
         every per-corner yield child.
     backend / max_workers:
         Execution backend for the corner fan-out; the sample fan-out inside
-        each corner resolves its own backend (serial inside pool workers).
+        each corner uses the serial default.
     base_kwargs:
         Forwarded to every per-corner base problem instance.
     """

@@ -4,7 +4,7 @@ The paper's whole cost model is "number of expensive simulations"; this
 subsystem makes each batch of them as cheap as the hardware allows:
 
 * :mod:`repro.engine.backends` -- pluggable execution strategies
-  (:class:`SerialBackend`, :class:`ThreadBackend`, :class:`ProcessBackend`)
+  (:class:`SerialBackend`, :class:`BatchedBackend`, :class:`ProcessBackend`)
   behind one ordered ``map`` interface;
 * :mod:`repro.engine.cache` -- an exact content-hash design cache with
   hit/miss statistics, so re-proposed designs cost nothing;
@@ -12,27 +12,24 @@ subsystem makes each batch of them as cheap as the hardware allows:
   batching, caching and failure isolation and is what
   :meth:`repro.bo.problem.OptimizationProblem.evaluate_batch` routes through.
 
-Every optimizer in the library picks this up transparently; experiments opt
-into parallelism per call (``backend="process"``) or globally via the
-``REPRO_ENGINE_BACKEND`` environment variable.
+Every optimizer in the library picks this up transparently.  The default is
+always serial; experiments opt into batched or process evaluation per call
+(``backend="batched"``, ``backend="process"``) or per study
+(``StudySpec.backend``).
 """
 
 from repro.engine.backends import (
-    BACKEND_ENV_VAR,
     BatchedBackend,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
-    default_backend,
     resolve_backend,
 )
 from repro.engine.cache import CacheStats, DesignCache
 from repro.engine.engine import EvaluationEngine, evaluate_design_task
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "BatchedBackend",
     "CacheStats",
     "DesignCache",
@@ -40,9 +37,7 @@ __all__ = [
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "available_backends",
-    "default_backend",
     "evaluate_design_task",
     "resolve_backend",
 ]

@@ -2,7 +2,7 @@
 
 A backend is an object with an ordered :meth:`ExecutionBackend.map`: it takes
 a picklable callable and a list of work items and returns the results in
-input order.  Four implementations cover the useful points of the
+input order.  Three implementations cover the useful points of the
 serial/concurrent design space:
 
 * :class:`SerialBackend` -- a plain list comprehension; zero overhead, fully
@@ -14,10 +14,6 @@ serial/concurrent design space:
   simulation (see :func:`repro.spice.dc.dc_operating_point_batch`) instead
   of N independent solves.  Results are bit-identical to serial by
   construction of the batched solver.
-* :class:`ThreadBackend` -- a shared :class:`~concurrent.futures.ThreadPoolExecutor`.
-  The SPICE solves spend most of their time inside numpy/LAPACK calls that
-  release the GIL, so threads already overlap the linear-algebra portion of
-  independent simulations without any pickling cost.
 * :class:`ProcessBackend` -- a :class:`~concurrent.futures.ProcessPoolExecutor`.
   Escapes the GIL entirely (the Newton stamping loops are pure Python and
   hold the GIL), at the price of pickling the problem and results per task.
@@ -33,37 +29,11 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Environment variable consulted by :func:`default_backend`.
-BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
-
-#: Set in the environment of ProcessBackend workers so code running inside
-#: them (e.g. a whole optimizer fanned out by ``run_repeated``) resolves its
-#: *default* backend to serial instead of recursively spawning ncpu pools of
-#: ncpu workers each.  Explicitly constructed backends are not affected.
-WORKER_ENV_VAR = "REPRO_ENGINE_WORKER"
-
-
-def _mark_worker_process() -> None:  # pragma: no cover - runs in pool workers
-    os.environ[WORKER_ENV_VAR] = "1"
-
-
-#: Thread-local analogue of WORKER_ENV_VAR for ThreadBackend workers: code
-#: running on a pool thread that resolves a *default* backend gets serial,
-#: because dispatching inner tasks onto the same (possibly saturated) pool
-#: deadlocks -- every worker would block waiting for tasks that can never be
-#: scheduled.
-_THREAD_WORKER = threading.local()
-
-
-def _in_worker_context() -> bool:
-    return bool(os.environ.get(WORKER_ENV_VAR)) or getattr(_THREAD_WORKER,
-                                                           "active", False)
 
 
 class ExecutionBackend:
@@ -126,20 +96,26 @@ class BatchedBackend(SerialBackend):
     batched = True
 
 
-class _PooledBackend(ExecutionBackend):
-    """Shared plumbing for executor-based backends (lazy pool creation)."""
+class ProcessBackend(ExecutionBackend):
+    """Run work items on a lazily created process pool.
+
+    Best for CPU-bound pure-Python work (the Newton stamping loop) on
+    multi-core machines.  Work functions and items must be picklable:
+    module-level functions and problem instances qualify, lambdas and
+    closures do not.
+    """
+
+    name = "process"
 
     def __init__(self, max_workers: int | None = None):
         self.max_workers = max_workers
-        self._executor: Executor | None = None
-
-    def _make_executor(self) -> Executor:
-        raise NotImplementedError
+        self._executor: ProcessPoolExecutor | None = None
 
     @property
-    def executor(self) -> Executor:
+    def executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            self._executor = self._make_executor()
+            self._executor = ProcessPoolExecutor(
+                max_workers=self._worker_count())
         return self._executor
 
     def _worker_count(self) -> int:
@@ -154,7 +130,7 @@ class _PooledBackend(ExecutionBackend):
             return [fn(items[0])]
         # Chunking amortises IPC and -- because pickle memoises within one
         # chunk message -- serialises a problem object shared by the chunk's
-        # items once instead of once per item.  Threads ignore chunksize.
+        # items once instead of once per item.
         chunksize = max(1, len(items) // (self._worker_count() * 4))
         return list(self.executor.map(fn, items, chunksize=chunksize))
 
@@ -171,59 +147,9 @@ class _PooledBackend(ExecutionBackend):
         return state
 
 
-class ThreadBackend(_PooledBackend):
-    """Run work items on a thread pool.
-
-    Best when the per-design work is dominated by numpy/LAPACK calls (which
-    release the GIL) and the problem object is expensive to pickle.
-    """
-
-    name = "thread"
-
-    def _worker_count(self) -> int:
-        return self.max_workers or min(32, (os.cpu_count() or 1) + 4)
-
-    def _make_executor(self) -> Executor:
-        return ThreadPoolExecutor(max_workers=self._worker_count(),
-                                  thread_name_prefix="repro-engine")
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        def marked(item: T) -> R:
-            # Flag the executing thread for the duration of the task so any
-            # default_backend() resolved inside it degrades to serial
-            # instead of re-entering (and potentially deadlocking) this pool.
-            # Saved/restored because the single-item shortcut runs on the
-            # calling thread, which may itself already be a worker.
-            previous = getattr(_THREAD_WORKER, "active", False)
-            _THREAD_WORKER.active = True
-            try:
-                return fn(item)
-            finally:
-                _THREAD_WORKER.active = previous
-
-        return super().map(marked, items)
-
-
-class ProcessBackend(_PooledBackend):
-    """Run work items on a process pool.
-
-    Best for CPU-bound pure-Python work (the Newton stamping loop) on
-    multi-core machines.  Work functions and items must be picklable:
-    module-level functions and problem instances qualify, lambdas and
-    closures do not.
-    """
-
-    name = "process"
-
-    def _make_executor(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self._worker_count(),
-                                   initializer=_mark_worker_process)
-
-
 _BACKENDS: dict[str, type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     BatchedBackend.name: BatchedBackend,
-    ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
 }
 
@@ -233,36 +159,29 @@ def available_backends() -> list[str]:
     return sorted(_BACKENDS)
 
 
+def _backend_key(name: str) -> str:
+    key = str(name).lower()
+    if key not in _BACKENDS:
+        raise ValueError(f"unknown backend {name!r}; available: {available_backends()}")
+    return key
+
+
 def resolve_backend(spec: str | ExecutionBackend | None,
                     max_workers: int | None = None) -> ExecutionBackend:
     """Normalise a backend specification to an :class:`ExecutionBackend`.
 
-    ``None`` resolves through :func:`default_backend`; a string names one of
+    ``None`` resolves to :class:`SerialBackend`; a string names one of
     :func:`available_backends`; an existing backend instance passes through
     unchanged (so pools can be shared between engines).
     """
     if spec is None:
-        return default_backend(max_workers=max_workers)
+        return SerialBackend()
     if isinstance(spec, ExecutionBackend):
         return spec
-    key = str(spec).lower()
-    if key not in _BACKENDS:
-        raise ValueError(f"unknown backend {spec!r}; available: {available_backends()}")
-    cls = _BACKENDS[key]
-    if not issubclass(cls, _PooledBackend):
-        return cls()
-    return cls(max_workers=max_workers)
-
-
-#: Process-wide singletons handed out by :func:`default_backend` so the many
-#: lazily-created per-problem engines of a long experiment sweep share one
-#: worker pool instead of each leaking their own.
-_SHARED_DEFAULTS: dict[str, ExecutionBackend] = {}
-
-
-def _is_shared_default(backend: ExecutionBackend) -> bool:
-    """Whether ``backend`` is one of the process-wide default singletons."""
-    return any(backend is shared for shared in _SHARED_DEFAULTS.values())
+    key = _backend_key(spec)
+    if key == ProcessBackend.name:
+        return ProcessBackend(max_workers=max_workers)
+    return _BACKENDS[key]()
 
 
 class BackendOwner:
@@ -272,9 +191,9 @@ class BackendOwner:
     backend (PVT :class:`~repro.bench.CornerSweep`, the Monte Carlo
     :class:`~repro.mc.MonteCarloRunner`):
 
-    * resolution is lazy and lock-guarded -- owners run inside engine thread
-      fan-out, and without the lock two threads could each build a pooled
-      backend and the loser's pool would leak;
+    * resolution is lazy and lock-guarded, so two threads reaching an
+      unresolved owner at once cannot each build a pooled backend and leak
+      the loser's pool;
     * :meth:`close` is idempotent and the owner is a context manager, so
       ``with`` blocks are a first-class release path next to
       ``OptimizationProblem.close()``;
@@ -284,16 +203,15 @@ class BackendOwner:
       ``__del__``, where raising cannot abort the process -- under pytest,
       ``filterwarnings = error`` surfaces it through the unraisable-exception
       hook; plain scripts see it on stderr.)  Caller-provided backend
-      instances and the process-wide shared defaults are not owned, so they
-      never warn.
+      instances are not owned, so they never warn.
     * pickling drops the live backend -- pools cannot cross process
-      boundaries -- and workers rebuild lazily (resolving the *default*
-      spec to serial in worker context, so fan-outs compose without
-      spawning pools of pools).
+      boundaries -- and workers rebuild it lazily from the spec.
     """
 
     def __init__(self, spec: str | ExecutionBackend | None = None,
                  max_workers: int | None = None):
+        if spec is not None and not isinstance(spec, ExecutionBackend):
+            _backend_key(spec)  # fail at construction, not on first use
         self._backend_spec = spec
         self._max_workers = max_workers
         self._backend: ExecutionBackend | None = None
@@ -312,17 +230,16 @@ class BackendOwner:
         """Whether the held backend's lifecycle belongs to this owner.
 
         Caller-provided instances (the documented way to *share* one pool
-        between consumers) and the process-wide shared defaults are merely
-        borrowed: closing them out from under their other users would abort
-        in-flight maps, so :meth:`close` only drops the reference.
+        between consumers) are merely borrowed: closing them out from under
+        their other users would abort in-flight maps, so :meth:`close` only
+        drops the reference.
         """
         return (self._backend is not None
-                and not isinstance(self._backend_spec, ExecutionBackend)
-                and not _is_shared_default(self._backend))
+                and not isinstance(self._backend_spec, ExecutionBackend))
 
     def _owns_live_pool(self) -> bool:
         return (self._owns_backend()
-                and isinstance(self._backend, _PooledBackend)
+                and isinstance(self._backend, ProcessBackend)
                 and self._backend._executor is not None)
 
     def close(self) -> None:
@@ -363,32 +280,3 @@ class BackendOwner:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._backend_lock = threading.Lock()
-
-
-def default_backend(max_workers: int | None = None) -> ExecutionBackend:
-    """The backend used when none is specified.
-
-    Serial unless the ``REPRO_ENGINE_BACKEND`` environment variable names
-    another backend, which lets deployments opt whole experiment scripts into
-    parallel evaluation without touching call sites.  Inside a
-    :class:`ProcessBackend` worker process or on a :class:`ThreadBackend`
-    worker thread the default is always serial, so fanned-out optimizers
-    cannot recursively spawn pools of pools (or deadlock a thread pool by
-    re-entering it from its own workers).
-
-    Pooled defaults are process-wide singletons: every problem whose engine
-    was created implicitly shares one pool (shutting it down is safe -- the
-    pool is lazily rebuilt on next use).  An explicit ``max_workers`` asks
-    for a specific pool size, so it bypasses the singleton and returns a
-    private backend; construct a backend explicitly for full control.
-    """
-    if _in_worker_context():
-        return SerialBackend()
-    name = str(os.environ.get(BACKEND_ENV_VAR, SerialBackend.name)).lower()
-    if name == SerialBackend.name:
-        return SerialBackend()
-    if max_workers is not None:
-        return resolve_backend(name, max_workers=max_workers)
-    if name not in _SHARED_DEFAULTS:
-        _SHARED_DEFAULTS[name] = resolve_backend(name)
-    return _SHARED_DEFAULTS[name]

@@ -6,7 +6,8 @@ records":
 
 * **batching** -- the whole batch is dispatched through one
   :class:`~repro.engine.backends.ExecutionBackend` call, so independent
-  simulations overlap on thread/process backends;
+  simulations overlap on the process backend (or share one stacked solve
+  on the batched backend);
 * **caching** -- a content-hash :class:`~repro.engine.cache.DesignCache`
   short-circuits bit-identical designs (including duplicates *within* one
   batch), with hit/miss statistics for reports;
@@ -78,14 +79,13 @@ class EvaluationEngine:
         The sizing problem whose :meth:`~repro.bo.problem.OptimizationProblem.evaluate`
         defines the ground truth for one design.
     backend:
-        Backend name (``"serial"``/``"thread"``/``"process"``), instance, or
-        ``None`` for the environment default (serial unless
-        ``REPRO_ENGINE_BACKEND`` says otherwise).
+        Backend name (``"serial"``/``"batched"``/``"process"``), instance,
+        or ``None`` for serial.
     cache:
         ``True`` (default) for a fresh :class:`DesignCache`, an existing
         cache to share one across engines, or ``False``/``None`` to disable.
     max_workers:
-        Worker count for pooled backends created from a name.
+        Worker count for a process backend created from a name.
     """
 
     def __init__(self, problem: OptimizationProblem,

@@ -6,8 +6,6 @@ code serves quick smoke benchmarks and full paper-scale runs (see
 """
 
 from repro.experiments.runner import (
-    build_constrained_optimizer,
-    build_fom_optimizer,
     make_source_model,
     run_repeated,
 )
@@ -25,8 +23,6 @@ from repro.experiments.reporting import (
 )
 
 __all__ = [
-    "build_constrained_optimizer",
-    "build_fom_optimizer",
     "make_source_model",
     "run_repeated",
     "run_neuk_assessment",

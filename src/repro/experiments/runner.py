@@ -1,18 +1,15 @@
-"""Shared experiment plumbing: repeated runs and deprecated optimizer shims.
+"""Shared experiment plumbing: repeated runs over factory callables.
 
-The ``if/elif`` optimizer factories that used to live here were replaced by
-the decorator-based registry in :mod:`repro.study.registry`;
-:func:`build_fom_optimizer` and :func:`build_constrained_optimizer` remain as
-thin deprecated shims so old scripts keep working, and
-:func:`make_source_model` is re-exported from :mod:`repro.study.sources`.
-New code should go through :class:`repro.study.StudySpec` /
-:func:`repro.study.run_study` (or :func:`repro.study.build_optimizer` when a
-bare optimizer instance is needed).
+Optimizers are built through the decorator-based registry in
+:mod:`repro.study.registry`, and :func:`make_source_model` is re-exported
+from :mod:`repro.study.sources`.  New code should go through
+:class:`repro.study.StudySpec` / :func:`repro.study.run_study` (or
+:func:`repro.study.build_optimizer` when a bare optimizer instance is
+needed).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -20,40 +17,11 @@ import numpy as np
 from repro.bo import OptimizationHistory
 from repro.bo.problem import OptimizationProblem
 from repro.engine import ExecutionBackend, resolve_backend
-from repro.study.registry import build_optimizer as _registry_build
 from repro.study.sources import make_source_model
 from repro.utils.random import spawn_rngs
 from repro.utils.stats import summarize_runs
 
-__all__ = ["make_source_model", "build_fom_optimizer",
-           "build_constrained_optimizer", "run_repeated"]
-
-
-def _deprecated_shim(shim: str) -> None:
-    warnings.warn(
-        f"{shim} is deprecated; resolve optimizers through the registry "
-        "(repro.study.build_optimizer) or run them via repro.study.Study",
-        DeprecationWarning, stacklevel=3)
-
-
-def build_fom_optimizer(name: str, problem: OptimizationProblem, rng,
-                        source=None, source_data=None, quick: bool = True):
-    """Deprecated shim for the FOM (unconstrained) methods of Fig. 4 / 6a-b.
-
-    Alias handling, configuration and "did you mean" errors now come from
-    one registry table shared with the CLI and the Study API.
-    """
-    _deprecated_shim("build_fom_optimizer")
-    # As before: plain "kato" ignores a provided source (the w/o-TL ablation).
-    return _registry_build(name, problem, rng, quick=quick, source=source,
-                           source_data=source_data)
-
-
-def build_constrained_optimizer(name: str, problem: OptimizationProblem, rng,
-                                source=None, quick: bool = True):
-    """Deprecated shim for the constrained methods of Fig. 5 / 6 and the tables."""
-    _deprecated_shim("build_constrained_optimizer")
-    return _registry_build(name, problem, rng, quick=quick, source=source)
+__all__ = ["make_source_model", "run_repeated"]
 
 
 def _run_one_seed(task: tuple) -> tuple[np.ndarray, OptimizationHistory]:
@@ -61,7 +29,7 @@ def _run_one_seed(task: tuple) -> tuple[np.ndarray, OptimizationHistory]:
 
     Top-level so it is picklable for the process backend; the factories it
     receives must then be module-level functions or other picklable
-    callables (lambdas and closures only work with serial/thread backends).
+    callables (lambdas and closures only work in-process).
     """
     problem_factory, optimizer_factory, run_rng, n_simulations, n_init, constrained = task
     problem = problem_factory()
@@ -85,7 +53,7 @@ def run_repeated(problem_factory: Callable[[], OptimizationProblem],
 
     The repetitions are fully independent solves, so they fan out across the
     execution ``backend`` (``"serial"`` by default, which reproduces the
-    sequential behaviour exactly; ``"thread"``/``"process"`` or an
+    sequential behaviour exactly; ``"process"`` or an
     :class:`~repro.engine.ExecutionBackend` instance run seeds concurrently).
     Seed-to-rng assignment is identical for every backend, so results only
     ever differ in wall-clock time.
@@ -96,10 +64,9 @@ def run_repeated(problem_factory: Callable[[], OptimizationProblem],
     tasks = [(problem_factory, optimizer_factory, run_rng,
               n_simulations, n_init, constrained)
              for run_rng in spawn_rngs(seed, n_seeds)]
-    # Shut down pools we created here; caller-supplied instances and the
-    # process-wide shared default (backend=None) stay alive so their pools
-    # can be shared across several run_repeated calls.
-    owns_backend = backend is not None and not isinstance(backend, ExecutionBackend)
+    # Shut down pools we created here; caller-supplied instances stay alive
+    # so their pools can be shared across several run_repeated calls.
+    owns_backend = not isinstance(backend, ExecutionBackend)
     resolved = resolve_backend(backend)
     try:
         outcomes = resolved.map(_run_one_seed, tasks)

@@ -10,7 +10,7 @@ seeded Monte Carlo over the Pelgrom variation cards in :mod:`repro.pdk`:
 * :mod:`repro.mc.estimator` -- Wilson-interval yield estimation and the
   adaptive-stopping criterion;
 * :mod:`repro.mc.runner` -- :class:`MonteCarloRunner`, fanning sample
-  batches through the engine's serial/thread/process execution backends
+  batches through the engine's serial/batched/process execution backends
   with per-sample cache identities and bit-identical results on all of them.
 
 The ``*_yield`` sizing problems in :mod:`repro.circuits.montecarlo` wrap

@@ -6,7 +6,7 @@ across a handful of deterministic PVT conditions, the runner fans it across
 *sampled* local-mismatch outcomes -- each one a derived
 :class:`~repro.pdk.Technology` card carrying a
 :class:`~repro.pdk.VariationSample` -- through the same pluggable
-serial/thread/process execution backends as the batched evaluation engine.
+serial/batched/process execution backends as the evaluation engine.
 
 Per batch, every sample's simulation is classified pass/fail against the
 wrapped problem's constraints and folded into a running Wilson-interval
@@ -20,7 +20,7 @@ budget.
 Determinism: samples are materialised by index in the coordinating process
 (:mod:`repro.mc.samplers`), backends return results in input order, and all
 aggregation is sequential over that order -- so a yield estimate is
-bit-identical across serial, thread and process execution and across a
+bit-identical across serial, batched and process execution and across a
 checkpoint/resume of the surrounding study.  Every sample's derived card has
 its own :attr:`~repro.pdk.Technology.fingerprint` (the z-scores are hashed
 in), so per-sample simulations can never collide in a shared design cache.
@@ -208,11 +208,9 @@ class MonteCarloRunner(BackendOwner):
     config:
         :class:`MonteCarloConfig` (or a plain dict of its fields).
     backend:
-        Backend name, instance or ``None`` for the environment default.
-        Inside an engine worker the default resolves to serial, so sample
-        fan-out composes with design fan-out without pools of pools.
+        Backend name, instance or ``None`` for serial.
     max_workers:
-        Worker count for pooled backends created from a name.
+        Worker count for a process backend created from a name.
     """
 
     def __init__(self, config: MonteCarloConfig | dict | None = None,

@@ -13,7 +13,7 @@ A sampler turns ``(seed, sample index)`` into a
 Determinism is the load-bearing property: the whole ``(n_max, dim)`` z-score
 block is a pure function of the seed, materialised lazily *once* in the
 coordinating process and only ever sliced by index.  However the adaptive
-loop batches its draws, whichever serial/thread/process backend executes
+loop batches its draws, whichever serial/batched/process backend executes
 them, and wherever a checkpointed study resumes, sample ``i`` is always the
 same silicon -- which is what makes yield estimates bit-identical across all
 of those axes (and lets per-sample cache tokens mean anything at all).

@@ -90,7 +90,7 @@ class VariationSample:
     ----------
     index:
         Position of this sample within its sampler stream (stable across
-        serial/thread/process execution and checkpoint/resume; reports and
+        serial/batched/process execution and checkpoint/resume; reports and
         per-sample records are keyed on it).
     devices:
         Per-device draws, sorted by device name.

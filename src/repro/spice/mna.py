@@ -22,17 +22,13 @@ Four stamper implementations share one stamping vocabulary:
   ``reset()``/restamp cycles (Newton iterations, transient steps) reuse the
   frozen position arrays, the lexsort/deduplication analysis and the
   CSR->CSC conversion mapping instead of rebuilding them, so only the
-  numeric factorisation is repeated per design.  The opt-in
-  ``shared_symbolic`` mode goes further and reuses design 0's SuperLU
-  column permutation for the whole batch (see the class docstring).
+  numeric factorisation is repeated per design.
 
 Bit-identity contract: for a fixed solver (dense or sparse), the batched
 stampers accumulate exactly the same additions in exactly the same order as
 their serial counterpart does per design, and the solves are per-slice
 bit-identical to the serial solves -- so batched Newton reproduces serial
-Newton bit for bit (see ``tests/test_batched.py``).  ``shared_symbolic``
-is the one documented exception: it trades last-ulp identity for a shared
-symbolic factorisation and is off by default.
+Newton bit for bit (see ``tests/test_batched.py``).
 """
 
 from __future__ import annotations
@@ -430,24 +426,13 @@ class SparseBatchStamper(_StampOps):
     mapping) is computed once and reused by every later solve.  A stamp
     sequence that diverges from the locked pattern raises ``ValueError`` --
     topology-identical circuits never do.
-
-    ``shared_symbolic=True`` additionally reuses design 0's SuperLU column
-    permutation (COLAMD) for designs ``1..B-1`` by pre-permuting their
-    columns and factorising with ``permc_spec="NATURAL"``.  SuperLU
-    post-processes COLAMD with an elimination-tree postorder, so the reused
-    permutation is the same ordering *family* but not the same
-    factorisation path: results agree to ~1 ulp with the per-design default
-    rather than bit-for-bit.  It is therefore opt-in and excluded from the
-    bit-identity contract.
     """
 
-    def __init__(self, batch_size: int, n_nodes: int, n_branches: int,
-                 shared_symbolic: bool = False):
+    def __init__(self, batch_size: int, n_nodes: int, n_branches: int):
         _require_scipy()
         self.batch_size = int(batch_size)
         self.n_nodes = int(n_nodes)
         self.n_branches = int(n_branches)
-        self.shared_symbolic = bool(shared_symbolic)
         self.rows: list[int] = []
         self.cols: list[int] = []
         self.data: list[np.ndarray] = []
@@ -460,7 +445,6 @@ class SparseBatchStamper(_StampOps):
         self._values: np.ndarray | None = None
         self._pattern_cache = None
         self._reduced_cache = None
-        self._shared_cache = None
         #: Restamps served by the locked pattern (telemetry; the symbolic
         #: analysis and triplet buffers were reused instead of rebuilt).
         self.pattern_reuse_hits = 0
@@ -681,47 +665,6 @@ class SparseBatchStamper(_StampOps):
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise np.linalg.LinAlgError(str(exc)) from exc
 
-    def _shared_pattern(self, perm_c: np.ndarray):
-        """Column-permuted CSC pattern for the shared-symbolic mode."""
-        if self._shared_cache is None:
-            *_, csc_perm, csc_indices, csc_indptr = self._pattern()
-            perm_c = np.asarray(perm_c, dtype=np.intp)
-            counts = csc_indptr[1:] - csc_indptr[:-1]
-            indptr_p = np.zeros_like(csc_indptr)
-            np.cumsum(counts[perm_c], out=indptr_p[1:])
-            if csc_indices.size:
-                take = np.concatenate(
-                    [np.arange(csc_indptr[c], csc_indptr[c + 1])
-                     for c in perm_c])
-            else:
-                take = np.empty(0, dtype=np.intp)
-            self._shared_cache = (perm_c, csc_perm[take], csc_indices[take],
-                                  indptr_p)
-        return self._shared_cache
-
-    def _solve_shared(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Shared-symbolic solves: design 0's COLAMD ordering for everyone."""
-        *_, csc_perm, csc_indices, csc_indptr = self._pattern()
-        matrix0 = _csc_matrix((values[:, 0][csc_perm], csc_indices,
-                               csc_indptr), shape=(self.size, self.size))
-        try:
-            factor0 = _splu(matrix0)
-        except RuntimeError as exc:
-            raise np.linalg.LinAlgError(str(exc)) from exc
-        out[0] = factor0.solve(self.rhs[0])
-        perm_c, perm_values, indices_p, indptr_p = \
-            self._shared_pattern(factor0.perm_c)
-        for b in range(1, self.batch_size):
-            matrix = _csc_matrix((values[:, b][perm_values], indices_p,
-                                  indptr_p), shape=(self.size, self.size))
-            try:
-                factor = _splu(matrix, permc_spec="NATURAL")
-                solution = factor.solve(self.rhs[b])
-            except RuntimeError as exc:
-                raise np.linalg.LinAlgError(str(exc)) from exc
-            out[b][perm_c] = solution
-        return out
-
     def solve(self) -> np.ndarray:
         """Factorise and solve every design; ``(B, size)``.
 
@@ -731,8 +674,6 @@ class SparseBatchStamper(_StampOps):
         """
         values, _, _ = self._csr()
         out = np.empty((self.batch_size, self.size))
-        if self.shared_symbolic and self.batch_size > 1 and self.size:
-            return self._solve_shared(values, out)
         for b in range(self.batch_size):
             out[b] = self._solve_one(values[:, b], self.rhs[b])
         return out

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable
-
 import numpy as np
 
 from repro.spice.dc import OperatingPoint, dc_operating_point
@@ -36,54 +33,24 @@ def dc_sweep(circuit: Circuit, device: str | Device,
     Returns
     -------
     (values, observed_voltages)
-
-    .. deprecated::
-        The old ``dc_sweep(circuit, set_value_callback, values, observe)``
-        form still works but leaves the circuit mutated at the last sweep
-        value (the callback is opaque, so nothing can be restored); pass
-        ``(device, attribute, values)`` instead.
     """
-    if callable(device) and not isinstance(device, Device):
-        # Legacy callback form: (circuit, set_value, values[, observe]).
-        set_value = device
-        if values is None and observe is not None:
-            values = attribute
-        elif observe is None:
-            values, observe = attribute, values
-        warnings.warn(
-            "dc_sweep(circuit, set_value_callback, ...) is deprecated and "
-            "leaves the circuit mutated at the last sweep value; call "
-            "dc_sweep(circuit, device, attribute, values, observe) instead",
-            DeprecationWarning, stacklevel=2)
-        return _dc_sweep_values(circuit, set_value, values, observe, temperature)
-
     if values is None or observe is None:
         raise ValueError("dc_sweep needs values and observe")
     target = circuit.device(device) if isinstance(device, str) else device
     original = getattr(target, attribute)  # AttributeError = caller bug
-
-    def set_value(value: float) -> None:
-        setattr(target, attribute, value)
-
-    try:
-        return _dc_sweep_values(circuit, set_value, values, observe, temperature)
-    finally:
-        setattr(target, attribute, original)
-
-
-def _dc_sweep_values(circuit: Circuit, set_value: Callable[[float], None],
-                     values: np.ndarray, observe: str,
-                     temperature: float) -> tuple[np.ndarray, np.ndarray]:
-    """The sweep loop (warm-starting each solve from the previous one)."""
     values = np.asarray(values, dtype=float)
     observed = np.empty(values.shape[0])
     previous: np.ndarray | None = None
-    for index, value in enumerate(values):
-        set_value(float(value))
-        op = dc_operating_point(circuit, temperature=temperature,
-                                initial_guess=previous)
-        observed[index] = op.voltage(observe)
-        previous = op.voltages
+    try:
+        # Warm-start each solve from the previous one.
+        for index, value in enumerate(values):
+            setattr(target, attribute, float(value))
+            op = dc_operating_point(circuit, temperature=temperature,
+                                    initial_guess=previous)
+            observed[index] = op.voltage(observe)
+            previous = op.voltages
+    finally:
+        setattr(target, attribute, original)
     return values, observed
 
 

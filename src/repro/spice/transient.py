@@ -555,14 +555,13 @@ class _TranBatchAssembler:
     _GATHER_CACHE_MAX = 128
 
     def __init__(self, circuits: list[Circuit], temperatures: np.ndarray,
-                 states_by_design: list, solver: str, shared_symbolic: bool):
+                 states_by_design: list, solver: str):
         first = circuits[0]
         self.n_nodes = first.n_nodes
         self.n_branches = first.n_branches
         self.size = self.n_nodes + self.n_branches
         self.temperatures = temperatures
         self.solver = solver
-        self.shared_symbolic = shared_symbolic
         # Telemetry counters, mirroring the DC assembler's.
         self.total_designs = len(circuits)
         self.assemblies = 0
@@ -627,8 +626,7 @@ class _TranBatchAssembler:
             stamper = self._sparse_stamper
             if stamper is None or stamper.batch_size != batch_size:
                 stamper = SparseBatchStamper(
-                    batch_size, self.n_nodes, self.n_branches,
-                    shared_symbolic=self.shared_symbolic)
+                    batch_size, self.n_nodes, self.n_branches)
                 self._sparse_stamper = stamper
             else:
                 stamper.reset()
@@ -725,7 +723,6 @@ def transient_analysis_batch(circuits, t_stop: float,
                              max_steps: int = 200_000,
                              operating_points: list[OperatingPoint] | None = None,
                              solver: str = "auto",
-                             shared_symbolic: bool = False,
                              return_errors: bool = False) -> list:
     """Transient analysis of ``B`` topology-identical circuits at once.
 
@@ -750,13 +747,6 @@ def transient_analysis_batch(circuits, t_stop: float,
     operating_points:
         Pre-computed initial conditions, one per circuit; by default
         :func:`transient_operating_point_batch` solves them.
-    shared_symbolic:
-        Sparse batches only: reuse design 0's column permutation for every
-        factorization instead of re-running the ordering heuristic per
-        design.  Results then agree with serial to solver round-off
-        (~1e-15 relative) rather than bit-exactly; leave off (the default)
-        when bitwise reproducibility matters more than the symbolic-phase
-        saving.
     return_errors:
         When set, per-design failures (:class:`ConvergenceError`, singular
         systems) are returned as exception objects in the result list
@@ -838,7 +828,7 @@ def transient_analysis_batch(circuits, t_stop: float,
         d.dt = min(dt_initial, dt_max, d.breakpoints[0])
 
     assembler = _TranBatchAssembler(circuits, temperatures, states_by_design,
-                                    solver, shared_symbolic)
+                                    solver)
 
     def _begin_attempt(d: _TranDesign) -> None:
         """Serial loop-top bookkeeping for one design's next step attempt."""

@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override spec.n_simulations")
     run.add_argument("--n-seeds", type=int, help="override spec.n_seeds")
     run.add_argument("--backend", help="override spec.backend "
-                                       "(serial/thread/process)")
+                                       "(serial/batched/process)")
     _add_service_options(run)
 
     resume = commands.add_parser(

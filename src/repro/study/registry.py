@@ -6,8 +6,8 @@ registers itself with :func:`register_optimizer`, declaring
 
 * its **canonical name** and **aliases** ("rs"/"random" for random search,
   "smac" for SMAC-RF, ...), so the CLI, the :class:`~repro.study.StudySpec`
-  and the deprecated ``build_*_optimizer`` shims all resolve names from one
-  table with one "did you mean" error path;
+  and :func:`build_optimizer` all resolve names from one table with one
+  "did you mean" error path;
 * its **capabilities** (constrained and/or unconstrained problems, whether a
   transfer source is required), so misconfigured studies fail with a clear
   message before any simulation is spent;

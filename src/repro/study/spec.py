@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
-from repro.engine.backends import BACKEND_ENV_VAR, available_backends
+from repro.engine.backends import available_backends
 from repro.errors import OptimizationError
 from repro.utils.validation import suggestion_hint
 
@@ -212,28 +211,8 @@ class StudySpec:
     # backend resolution                                                  #
     # ------------------------------------------------------------------ #
     def resolved_backend(self) -> str:
-        """The evaluation backend this study will use.
-
-        ``StudySpec.backend`` is the one documented path.  When it is unset
-        and the legacy ``REPRO_ENGINE_BACKEND`` environment variable names a
-        backend, that value is honoured once more with a
-        :class:`DeprecationWarning`; the variable will stop affecting
-        studies in a future release.
-        """
-        if self.backend is not None:
-            return self.backend
-        env = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-        if env and env != "serial":
-            warnings.warn(
-                f"selecting the evaluation backend via {BACKEND_ENV_VAR} is "
-                "deprecated for studies; set StudySpec.backend "
-                f"(e.g. \"backend\": {env!r} in the spec file) instead",
-                DeprecationWarning, stacklevel=2)
-            if env in available_backends():
-                return env
-            raise SpecError(f"{BACKEND_ENV_VAR}={env!r} names an unknown "
-                            f"backend; available: {available_backends()}")
-        return "serial"
+        """The evaluation backend this study will use (serial when unset)."""
+        return self.backend or "serial"
 
     # ------------------------------------------------------------------ #
     # builders                                                            #
@@ -242,7 +221,7 @@ class StudySpec:
         """Instantiate the (possibly FOM-wrapped) problem with its engine.
 
         ``problem_options`` is forwarded to the problem constructor -- e.g.
-        ``{"corners": [...], "backend": "thread"}`` for a ``*_corners``
+        ``{"corners": [...], "backend": "batched"}`` for a ``*_corners``
         problem, or ``{"load_capacitance": 5e-12}`` for an op-amp -- and must
         stay JSON-plain so checkpointed specs rebuild the identical problem.
         """

@@ -360,7 +360,7 @@ def run_study(spec: StudySpec, callbacks: tuple = (),
         (``<path>.seed<k>``).
     runner_backend:
         ``None``/``"serial"`` runs seeds in-process (supports callbacks);
-        ``"thread"``/``"process"`` or an
+        ``"process"`` or an
         :class:`~repro.engine.ExecutionBackend` fans whole seeds out (each
         worker rebuilds its problem and transfer source from the spec).
 

@@ -53,13 +53,20 @@ def summarize_runs(curves) -> dict[str, np.ndarray]:
     ----------
     curves:
         A sequence of equal-length 1-D arrays, one per random seed.
+
+    ``std`` is ``inf`` at every budget where some run has a non-finite entry
+    (e.g. an ``inf`` best-so-far before the first feasible design), instead
+    of the NaN -- and ``RuntimeWarning`` -- that ``inf - inf`` would give.
     """
     arr = np.asarray([np.asarray(c, dtype=float) for c in curves])
     if arr.ndim != 2:
         raise ValueError("curves must be a sequence of equal-length 1-D arrays")
+    finite = np.isfinite(arr).all(axis=0)
+    std = np.full(arr.shape[1], np.inf)
+    std[finite] = arr[:, finite].std(axis=0)
     return {
         "mean": arr.mean(axis=0),
-        "std": arr.std(axis=0),
+        "std": std,
         "median": np.median(arr, axis=0),
         "min": arr.min(axis=0),
         "max": arr.max(axis=0),

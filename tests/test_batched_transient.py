@@ -179,21 +179,6 @@ class TestBatchedTransient:
         for outcome_serial, outcome_batched in zip(serial, batched):
             assert_tran_identical(outcome_serial, outcome_batched)
 
-    def test_shared_symbolic_matches_to_roundoff(self):
-        problem = make_problem("two_stage_opamp_settling")
-        builder = problem.bench.builders["main"]
-        design = GOOD_DESIGNS["two_stage_opamp_settling"]
-        circuits = [builder(design) for _ in range(3)]
-        exact = transient_analysis_batch(
-            [builder(design) for _ in range(3)], T_STOP, solver="sparse")
-        shared = transient_analysis_batch(circuits, T_STOP, solver="sparse",
-                                          shared_symbolic=True)
-        for result_exact, result_shared in zip(exact, shared):
-            for node in result_exact.node_voltages:
-                np.testing.assert_allclose(
-                    result_shared.voltage(node), result_exact.voltage(node),
-                    rtol=1e-6, atol=1e-9)
-
     def test_temperature_disagreeing_with_ops_warns_and_op_wins(self):
         problem = make_problem("two_stage_opamp_settling")
         builder = problem.bench.builders["main"]

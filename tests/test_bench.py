@@ -402,7 +402,7 @@ class TestCornerProblems:
         assert all(child.load_capacitance == 5e-12
                    for child in corners.children)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_corner_sweep_deterministic_across_backends(self, backend):
         reference = make_problem("two_stage_opamp_corners")
         parallel = make_problem("two_stage_opamp_corners", backend=backend,
@@ -482,7 +482,7 @@ class TestCornerStudySpec:
 class TestCornerSweepLifecycle:
     def test_context_manager_closes_pool(self):
         from repro.bench import CornerSweep, nominal_corner
-        with CornerSweep([nominal_corner()], backend="thread") as sweep:
+        with CornerSweep([nominal_corner()], backend="process") as sweep:
             sweep.backend.map(abs, [1, -2])
             assert sweep._backend is not None
         assert sweep._backend is None
@@ -492,16 +492,16 @@ class TestCornerSweepLifecycle:
         # owner skipped close() leaked its pool silently; now the leak warns
         # (and `python -W error::ResourceWarning` turns it into a failure).
         from repro.bench import CornerSweep, nominal_corner
-        sweep = CornerSweep([nominal_corner()], backend="thread")
+        sweep = CornerSweep([nominal_corner()], backend="process")
         sweep.backend.map(abs, [1, -2])
-        with pytest.warns(ResourceWarning, match="live 'thread' worker pool"):
+        with pytest.warns(ResourceWarning, match="live 'process' worker pool"):
             sweep.__del__()
         sweep.close()
 
     def test_closed_and_serial_sweeps_do_not_warn(self):
         import warnings as warnings_module
         from repro.bench import CornerSweep, nominal_corner
-        closed = CornerSweep([nominal_corner()], backend="thread")
+        closed = CornerSweep([nominal_corner()], backend="process")
         closed.backend.map(abs, [1])
         closed.close()
         serial = CornerSweep([nominal_corner()])
@@ -514,8 +514,8 @@ class TestCornerSweepLifecycle:
     def test_pickled_sweep_rebuilds_lazily(self):
         import pickle
         from repro.bench import CornerSweep, nominal_corner
-        sweep = CornerSweep([nominal_corner()], backend="thread")
-        sweep.backend.map(abs, [1])
+        sweep = CornerSweep([nominal_corner()], backend="process")
+        sweep.backend.map(abs, [1, -2])
         clone = pickle.loads(pickle.dumps(sweep))
         assert clone._backend is None
         assert clone.backend.map(abs, [-3]) == [3]

@@ -4,7 +4,7 @@ Reproducibility is a hard requirement for the paper experiments (statistics
 over fixed seed sets) and for the design cache (bit-identical replays).
 These tests pin it down for the two stochastic engines -- MACE's BO loop and
 NSGA-II -- across repeated runs *and* across execution backends, since the
-thread backend must preserve batch order and produce the same bits as
+process backend must preserve batch order and produce the same bits as
 serial.
 """
 
@@ -54,11 +54,11 @@ class TestMACEDeterminism:
         np.testing.assert_array_equal(x_first, x_second)
         np.testing.assert_array_equal(y_first, y_second)
 
-    def test_bit_identical_serial_vs_thread_backend(self):
+    def test_bit_identical_serial_vs_process_backend(self):
         x_serial, y_serial = _run_mace(seed=7, backend="serial")
-        x_thread, y_thread = _run_mace(seed=7, backend="thread")
-        np.testing.assert_array_equal(x_serial, x_thread)
-        np.testing.assert_array_equal(y_serial, y_thread)
+        x_process, y_process = _run_mace(seed=7, backend="process")
+        np.testing.assert_array_equal(x_serial, x_process)
+        np.testing.assert_array_equal(y_serial, y_process)
 
     def test_different_seeds_diverge(self):
         x_first, _ = _run_mace(seed=1)

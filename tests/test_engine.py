@@ -12,17 +12,18 @@ from repro.autodiff import Tensor, no_grad
 from repro.bo import RandomSearch
 from repro.bo.design_space import DesignSpace, DesignVariable
 from repro.bo.problem import Constraint, OptimizationProblem
-from repro.circuits import TwoStageOpAmp, simulate_design
+from repro.circuits import TwoStageOpAmp, make_problem, simulate_design
 from repro.engine import (
+    BatchedBackend,
     DesignCache,
     EvaluationEngine,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     resolve_backend,
 )
 from repro.experiments.runner import run_repeated
+from repro.study.spec import SpecError, StudySpec
 from repro.spice import ac_analysis, dc_operating_point
 
 
@@ -63,80 +64,63 @@ def _random_search_factory(problem, rng):
     return RandomSearch(problem, batch_size=4, rng=rng)
 
 
+def _default_backend_name(_):
+    return resolve_backend(None).name
+
+
 # ---------------------------------------------------------------------- #
 # backends                                                                #
 # ---------------------------------------------------------------------- #
 class TestBackends:
     def test_available(self):
-        assert available_backends() == ["batched", "process", "serial", "thread"]
+        assert available_backends() == ["batched", "process", "serial"]
 
     def test_resolve_by_name_and_instance(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("thread"), ThreadBackend)
+        assert isinstance(resolve_backend("batched"), BatchedBackend)
         assert isinstance(resolve_backend("process"), ProcessBackend)
-        backend = ThreadBackend(max_workers=2)
+        backend = ProcessBackend(max_workers=2)
         assert resolve_backend(backend) is backend
 
     def test_resolve_unknown(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("gpu")
 
-    def test_default_is_serial_inside_pool_workers(self, monkeypatch):
-        from repro.engine import backends
-        monkeypatch.setenv(backends.BACKEND_ENV_VAR, "process")
-        monkeypatch.setenv(backends.WORKER_ENV_VAR, "1")
-        # Inside a process-pool worker the env-var opt-in must not recurse
-        # into another process pool.
-        assert isinstance(backends.default_backend(), SerialBackend)
-        monkeypatch.delenv(backends.WORKER_ENV_VAR)
-        assert isinstance(backends.default_backend(), ProcessBackend)
+    def test_thread_is_rejected_with_available_backends(self, quadratic_problem):
+        listing = r"available: \['batched', 'process', 'serial'\]"
+        with pytest.raises(ValueError, match=f"unknown backend 'thread'; {listing}"):
+            resolve_backend("thread")
+        with pytest.raises(ValueError, match=listing):
+            EvaluationEngine(quadratic_problem, backend="thread")
+        with pytest.raises(SpecError, match=listing):
+            StudySpec(optimizer="rs", circuit="two_stage_opamp",
+                      backend="thread")
+        # Fan-out owners (problem_options) reject it when built, not by
+        # failing every evaluation later.
+        with pytest.raises(ValueError, match=listing):
+            make_problem("two_stage_opamp_corners", backend="thread")
 
-    def test_nested_default_on_thread_workers_degrades_to_serial(self, monkeypatch):
-        from repro.engine import backends
-        monkeypatch.setenv(backends.BACKEND_ENV_VAR, "thread")
-        shared = ThreadBackend(max_workers=2)
-        monkeypatch.setattr(backends, "_SHARED_DEFAULTS", {"thread": shared})
-
-        def outer(seed):
-            # Simulates a fanned-out optimizer whose problem lazily resolves
-            # the default backend on a worker thread; before the reentrancy
-            # guard this deadlocked once outer tasks saturated the pool.
-            inner = backends.default_backend()
-            assert isinstance(inner, SerialBackend)
-            return inner.map(lambda v: v + seed, [1, 2])
-
-        results = shared.map(outer, list(range(8)))  # 8 outer > 2 workers
-        assert results == [[1 + s, 2 + s] for s in range(8)]
-        shared.shutdown()
-
-    def test_default_pooled_backend_is_shared_singleton(self, monkeypatch):
-        from repro.engine import backends
-        monkeypatch.setenv(backends.BACKEND_ENV_VAR, "thread")
-        monkeypatch.setattr(backends, "_SHARED_DEFAULTS", {})
-        shared_a = backends.default_backend()
-        shared_b = backends.default_backend()
-        assert shared_a is shared_b
-        # An explicit worker count asks for a specific pool: private instance.
-        private = backends.default_backend(max_workers=2)
-        assert private is not shared_a
-        assert private.max_workers == 2
+    def test_default_is_serial_inside_pool_workers(self):
+        assert isinstance(resolve_backend(None), SerialBackend)
+        # Code resolving the default inside a process-pool worker (e.g. a
+        # fanned-out optimizer's lazily built engine) gets serial too, so a
+        # worker never recurses into a pool of pools.
+        with ProcessBackend(max_workers=2) as backend:
+            assert backend.map(_default_backend_name, [0, 1]) == ["serial"] * 2
 
     def test_serial_map_preserves_order(self):
         assert SerialBackend().map(lambda v: v * v, [3, 1, 2]) == [9, 1, 4]
-
-    def test_thread_map_preserves_order(self):
-        with ThreadBackend(max_workers=4) as backend:
-            assert backend.map(lambda v: -v, list(range(20))) == [-v for v in range(20)]
 
     def test_process_map_preserves_order(self):
         with ProcessBackend(max_workers=2) as backend:
             assert backend.map(abs, [-3, 2, -1]) == [3, 2, 1]
 
     def test_pooled_backend_is_picklable_without_executor(self):
-        backend = ThreadBackend(max_workers=2)
+        backend = ProcessBackend(max_workers=2)
         backend.map(str, [1, 2])  # force pool creation
         clone = pickle.loads(pickle.dumps(backend))
         assert clone.max_workers == 2
+        assert clone._executor is None
         assert clone.map(str, [3]) == ["3"]
         backend.shutdown()
 
@@ -216,7 +200,7 @@ class TestEvaluationEngine:
         assert engine.n_evaluated == 6
         assert "cache" not in engine.stats()
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_failure_isolation(self, backend):
         problem = FragileProblem()
         engine = EvaluationEngine(problem, backend=backend)
@@ -289,7 +273,7 @@ class TestEvaluationEngine:
 
     def test_problem_default_engine_and_attach(self, quadratic_problem):
         assert quadratic_problem.engine.backend.name == "serial"
-        replacement = EvaluationEngine(quadratic_problem, backend="thread")
+        replacement = EvaluationEngine(quadratic_problem, backend="process")
         quadratic_problem.attach_engine(replacement)
         assert quadratic_problem.engine is replacement
         replacement.close()
@@ -320,12 +304,12 @@ class TestBackendEquivalence:
         finally:
             engine.close()
 
-    def test_serial_thread_process_agree(self, batch):
+    def test_serial_batched_process_agree(self, batch):
         problem, x = batch
         serial = self._metrics(problem, x, "serial")
-        thread = self._metrics(problem, x, "thread")
+        batched = self._metrics(problem, x, "batched")
         process = self._metrics(problem, x, "process")
-        for reference, candidate in ((serial, thread), (serial, process)):
+        for reference, candidate in ((serial, batched), (serial, process)):
             for a, b in zip(reference, candidate):
                 assert a.keys() == b.keys()
                 for name in a:
@@ -489,15 +473,16 @@ class TestThreadLocalGrad:
 # repeated-run fan-out                                                    #
 # ---------------------------------------------------------------------- #
 class TestRunRepeatedBackends:
-    def test_serial_and_thread_runs_are_byte_identical(self):
+    def test_serial_and_process_runs_are_byte_identical(self):
         def run(backend):
             return run_repeated(_quadratic_problem_factory, _random_search_factory,
                                 n_simulations=12, n_init=4, n_seeds=2, seed=9,
                                 constrained=False, backend=backend)
         serial = run("serial")
         serial_again = run("serial")
-        threaded = run(ThreadBackend(max_workers=2))
+        with ProcessBackend(max_workers=2) as backend:
+            pooled = run(backend)
         np.testing.assert_array_equal(serial["curves"], serial_again["curves"])
-        np.testing.assert_array_equal(serial["curves"], threaded["curves"])
-        for a, b in zip(serial["histories"], threaded["histories"]):
+        np.testing.assert_array_equal(serial["curves"], pooled["curves"])
+        for a, b in zip(serial["histories"], pooled["histories"]):
             assert pickle.dumps(a.evaluations) == pickle.dumps(b.evaluations)

@@ -4,7 +4,7 @@ Covers the pdk variation layer (Pelgrom cards, per-device samples, derived
 fingerprints), the seeded samplers (determinism, batching invariance, stream
 splitting), the Wilson estimator and the adaptive-stopping guarantee, the
 runner's backend fan-out (bit-identical yield estimates and per-sample
-fingerprints across serial/thread/process), and the registered ``*_yield``
+fingerprints across serial/batched/process), and the registered ``*_yield``
 sizing problems end to end.
 """
 
@@ -363,15 +363,15 @@ class TestRunner:
 class TestPoolLifecycle:
     def test_runner_context_manager_closes_pool(self):
         with MonteCarloRunner(MonteCarloConfig(n_max=4, n_min=4, batch_size=4),
-                              backend="thread") as runner:
+                              backend="process") as runner:
             runner.backend.map(abs, [1, -2])
             assert runner._backend is not None
         assert runner._backend is None
 
     def test_leaked_runner_pool_warns_loudly(self):
-        runner = MonteCarloRunner(backend="thread")
+        runner = MonteCarloRunner(backend="process")
         runner.backend.map(abs, [1, -2])
-        with pytest.warns(ResourceWarning, match="live 'thread' worker pool"):
+        with pytest.warns(ResourceWarning, match="live 'process' worker pool"):
             runner.__del__()
         runner.close()
 
@@ -390,8 +390,8 @@ class TestPoolLifecycle:
         # A caller-provided backend is the documented way to *share* one
         # pool between consumers: closing the runner must release only its
         # reference, never the pool out from under the other users.
-        from repro.engine.backends import ThreadBackend
-        shared = ThreadBackend(max_workers=2)
+        from repro.engine.backends import ProcessBackend
+        shared = ProcessBackend(max_workers=2)
         try:
             runner = MonteCarloRunner(backend=shared)
             runner.backend.map(abs, [1, -2])
@@ -458,12 +458,12 @@ class TestYieldProblems:
     @pytest.mark.parametrize("n_samples", [256])
     def test_yield_bit_identical_across_backends(self, n_samples):
         # Acceptance criterion: a 256-sample yield estimate is bit-identical
-        # across serial, thread and process backends for a fixed seed --
+        # across serial, batched and process backends for a fixed seed --
         # metrics, per-sample draws and per-sample cache fingerprints.
         mc = {"n_max": n_samples, "n_min": 32, "batch_size": 64, "seed": 11,
               "ci_half_width": None}
         results = {}
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "batched", "process"):
             with make_problem("two_stage_opamp_yield", mc=mc,
                               backend=backend, max_workers=4) as problem:
                 metrics = problem.simulate(MARGINAL_TWO_STAGE)
@@ -474,7 +474,7 @@ class TestYieldProblems:
         serial = results["serial"]
         assert 0.0 < serial[0]["yield"] < 1.0
         assert serial[0]["mc_samples"] == n_samples
-        for backend in ("thread", "process"):
+        for backend in ("batched", "process"):
             assert results[backend][0] == serial[0], backend
             assert results[backend][1] == serial[1], backend
             assert results[backend][2] == serial[2], backend

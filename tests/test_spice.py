@@ -289,19 +289,6 @@ class TestSweeps:
         # The sweep restores the swept attribute when it finishes.
         assert source.dc == 0.0
 
-    def test_dc_sweep_deprecated_callback_form(self):
-        circuit = Circuit()
-        source = circuit.add(VoltageSource("V1", "in", "0", dc=0.0))
-        circuit.add(Resistor("R1", "in", "mid", 1e3))
-        circuit.add(Resistor("R2", "mid", "0", 1e3))
-        with pytest.warns(DeprecationWarning, match="dc_sweep"):
-            values, observed = dc_sweep(
-                circuit, lambda v: setattr(source, "dc", v),
-                np.linspace(0, 2, 5), observe="mid")
-        assert np.allclose(observed, values / 2.0, atol=1e-9)
-        # Documented legacy behaviour: the callback form cannot restore.
-        assert source.dc == 2.0
-
     def test_temperature_sweep_diode_is_ctat(self):
         circuit = Circuit()
         circuit.add(CurrentSource("Ib", "0", "d", dc=10e-6))

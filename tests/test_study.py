@@ -109,7 +109,7 @@ class TestRegistry:
             resolve_optimizer("kato_t1")
 
     def test_unknown_is_value_error(self):
-        # The deprecated shims relied on ValueError; keep that contract.
+        # Callers catch unknown optimizer names as ValueError.
         with pytest.raises(ValueError):
             resolve_optimizer("definitely_not_registered")
 
@@ -131,7 +131,7 @@ class TestRegistry:
         with pytest.raises(UnknownOptimizerError, match="source data"):
             build_optimizer("tlmbo", _StudyQuadraticFree(), rng)
         # TLMBO is constraint-blind: constrained problems must be rejected
-        # (as the old build_constrained_optimizer factory did).
+        # rather than silently ignoring the constraints.
         with pytest.raises(UnknownOptimizerError, match="constrained"):
             build_optimizer("tlmbo", _StudyQuadratic(), rng)
 
@@ -199,23 +199,15 @@ class TestStudySpec:
             StudySpec.from_file(path)
 
     def test_build_problem_attaches_backend(self):
-        problem = _spec(backend="thread").build_problem()
+        problem = _spec(backend="process").build_problem()
         try:
-            assert problem.engine.backend.name == "thread"
+            assert problem.engine.backend.name == "process"
         finally:
             problem.engine.close()
 
-    def test_env_backend_is_deprecated_but_honoured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "thread")
-        spec = _spec()
-        with pytest.warns(DeprecationWarning, match="StudySpec.backend"):
-            assert spec.resolved_backend() == "thread"
-        # An explicit spec backend wins silently: one documented path.
-        assert _spec(backend="serial").resolved_backend() == "serial"
-
-    def test_env_backend_unset_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_BACKEND", raising=False)
+    def test_unset_backend_is_serial(self):
         assert _spec().resolved_backend() == "serial"
+        assert _spec(backend="batched").resolved_backend() == "batched"
 
 
 # ---------------------------------------------------------------------- #
@@ -307,13 +299,13 @@ class TestStudy:
     def test_run_study_rejects_callbacks_with_parallel_runner(self):
         with pytest.raises(OptimizationError, match="callbacks"):
             run_study(_spec(n_seeds=2), callbacks=(_Recorder(),),
-                      runner_backend="thread")
+                      runner_backend="process")
 
-    def test_run_study_thread_runner_matches_serial(self):
+    def test_run_study_process_runner_matches_serial(self):
         spec = _spec(n_seeds=2)
         serial = run_study(spec)
-        threaded = run_study(spec, runner_backend="thread")
-        np.testing.assert_array_equal(serial["curves"], threaded["curves"])
+        pooled = run_study(spec, runner_backend="process")
+        np.testing.assert_array_equal(serial["curves"], pooled["curves"])
 
     def test_optimizer_factory_escape_hatch(self):
         def factory(problem, rng):
@@ -368,14 +360,14 @@ class TestCheckpointResume:
         assert resumed.resumed and resumed.n_replayed == len(data.evaluations)
         return reference, resumed
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_mace_resume_bit_identical(self, backend, tmp_path):
         reference, resumed = self._kill_and_resume(_mace_spec(backend), tmp_path)
         np.testing.assert_array_equal(reference.history.x, resumed.history.x)
         np.testing.assert_array_equal(reference.history.objectives,
                                       resumed.history.objectives)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_kato_resume_bit_identical(self, backend, tmp_path):
         reference, resumed = self._kill_and_resume(_kato_spec(backend), tmp_path)
         np.testing.assert_array_equal(reference.history.x, resumed.history.x)
@@ -526,34 +518,6 @@ class TestInitializeContract:
         seeds = problem.evaluate_batch(problem.design_space.sample(4, rng=np.random.default_rng(0)))
         optimizer.initialize(n_init=4, initial_evaluations=seeds)
         assert len(optimizer.history) == 4  # nothing extra sampled
-
-
-# ---------------------------------------------------------------------- #
-# deprecated shims                                                        #
-# ---------------------------------------------------------------------- #
-class TestDeprecatedShims:
-    def test_build_fom_optimizer_warns_and_builds(self):
-        from repro.experiments.runner import build_fom_optimizer
-        with pytest.warns(DeprecationWarning, match="registry"):
-            optimizer = build_fom_optimizer("rs", _StudyQuadraticFree(),
-                                            np.random.default_rng(0))
-        assert optimizer.batch_size == 4
-
-    def test_build_constrained_optimizer_resolves_mace_variant(self):
-        from repro.bo.constrained_mace import ConstrainedMACE
-        from repro.experiments.runner import build_constrained_optimizer
-        with pytest.warns(DeprecationWarning):
-            optimizer = build_constrained_optimizer(
-                "mace", _StudyQuadratic(), np.random.default_rng(0))
-        assert isinstance(optimizer, ConstrainedMACE)
-        assert optimizer.variant == "full"
-
-    def test_shim_unknown_name_is_value_error(self):
-        from repro.experiments.runner import build_fom_optimizer
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="unknown optimizer"):
-                build_fom_optimizer("nope", _StudyQuadraticFree(),
-                                    np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------- #

@@ -1,5 +1,7 @@
 """Tests for repro.utils: validation, scaling, statistics and RNG handling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -172,6 +174,14 @@ class TestStats:
         assert np.allclose(stats["mean"], [2.0, 3.0])
         assert np.allclose(stats["min"], [1.0, 2.0])
         assert np.allclose(stats["max"], [3.0, 4.0])
+
+    def test_summarize_runs_std_is_inf_over_non_finite_budgets(self):
+        inf = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = summarize_runs([[inf, inf, 1.0], [inf, 3.0, 3.0]])
+        assert np.array_equal(stats["std"], [inf, inf, 1.0])
+        assert np.array_equal(stats["mean"], [inf, inf, 2.0])
 
     def test_summarize_runs_rejects_ragged(self):
         with pytest.raises(ValueError):
