@@ -3,15 +3,14 @@
 Measures the stacked DC Newton, stacked AC and batched transient solves
 against their serial per-design counterparts at batch sizes 1, 8 and 64 on
 the two-stage opamp (a Monte Carlo style workload: mismatch variations of
-one good design), and locates the dense-vs-sparse crossover on resistor
-ladders of growing size.  Bit-identity of every batched result against its
+one good design).  Bit-identity of every batched result against its
 serial twin is asserted inline -- a throughput number for a solver that
 drifts would be meaningless.
 
 Emits one BENCH_BATCHED JSON record::
 
     BENCH_BATCHED {"dc": {"1": {...}, "8": {...}, "64": {...}},
-                   "ac": {...}, "crossover": [...],
+                   "ac": {...},
                    "speedup_dc_b64": 6.9, ...}
 
 plus one BENCH_BATCHED_TRAN record for the settling-style transient
@@ -35,9 +34,6 @@ from repro.circuits import make_problem
 from repro.errors import ConvergenceError
 from repro.mc.samplers import make_sampler
 from repro.spice import (
-    Circuit,
-    Resistor,
-    VoltageSource,
     ac_analysis,
     ac_analysis_batch,
     dc_operating_point,
@@ -71,15 +67,6 @@ def _mc_problems(count: int):
                            seed=7, n_max=count)
     return problem, [problem.with_variation(sample)
                      for sample in sampler.take(0, count)]
-
-
-def _ladder(n_resistors: int) -> Circuit:
-    circuit = Circuit(f"ladder{n_resistors}")
-    circuit.add(VoltageSource("V1", "n0", "0", dc=1.0))
-    for i in range(n_resistors):
-        circuit.add(Resistor(f"R{i}", f"n{i}", f"n{i + 1}", 1e3))
-    circuit.add(Resistor("RL", f"n{n_resistors}", "0", 1e3))
-    return circuit
 
 
 @pytest.mark.slow
@@ -149,24 +136,6 @@ def test_batched_throughput(benchmark):
             "batched_s": round(t_batched, 4),
             "speedup": round(t_serial / t_batched, 2),
         }
-
-    # -- dense vs sparse crossover on growing ladders -------------------- #
-    crossover = []
-    for n_resistors in budget(quick=(40, 120), paper=(40, 120, 240, 400)):
-        batch = [_ladder(n_resistors) for _ in range(8)]
-        t_dense = _best_of(
-            lambda batch=batch: dc_operating_point_batch(batch,
-                                                         solver="dense"),
-            REPEATS)
-        t_sparse = _best_of(
-            lambda batch=batch: dc_operating_point_batch(batch,
-                                                         solver="sparse"),
-            REPEATS)
-        crossover.append({"n_nodes": n_resistors + 1,
-                          "dense_s": round(t_dense, 4),
-                          "sparse_s": round(t_sparse, 4),
-                          "sparse_faster": bool(t_sparse < t_dense)})
-    record["crossover"] = crossover
 
     speedup_b64 = record["dc"]["64"]["speedup"]
     record["speedup_dc_b64"] = speedup_b64

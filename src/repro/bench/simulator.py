@@ -43,19 +43,12 @@ from repro.spice.transient import transient_analysis, transient_operating_point
 class Simulator:
     """One testbench-execution session.
 
-    Parameters
-    ----------
-    reuse_op:
-        When set (default) operating points are memoised per
-        ``(circuit, temperature, transient)`` and shared across analyses;
-        disabling re-solves the bias for every consumer, which exists to
-        quantify the reuse speedup in benchmarks and tests.
-
-    Counters (reset per :meth:`run`) are reported in ``SimResult.stats``.
+    Operating points are memoised per ``(circuit, temperature, transient)``
+    and shared across analyses.  Counters (reset per :meth:`run`) are
+    reported in ``SimResult.stats``.
     """
 
-    def __init__(self, reuse_op: bool = True):
-        self.reuse_op = bool(reuse_op)
+    def __init__(self):
         self.n_op_solves = 0
         self.n_op_reused = 0
         self.n_circuits_built = 0
@@ -76,7 +69,7 @@ class Simulator:
         """Solve or fetch the bias for one analysis' circuit and temperature."""
         temperature = spec.resolved_temperature(bench.temperature)
         key = (spec.circuit, float(temperature), bool(transient))
-        if self.reuse_op and key in ops:
+        if key in ops:
             self.n_op_reused += 1
             return ops[key]
         circuit = self._circuit(bench, design, circuits, spec.circuit)
@@ -88,19 +81,12 @@ class Simulator:
 
     def _resolve_op(self, bench: Testbench, design: dict[str, float],
                     circuits: dict, ops: dict, results: dict,
-                    op_specs: dict[str, OPSpec],
                     spec: AnalysisSpec, transient: bool) -> OperatingPoint:
         """The bias an AC/transient analysis linearises around."""
         referenced = getattr(spec, "op", None)
         if referenced is not None:
-            if self.reuse_op:
-                self.n_op_reused += 1
-                return results[referenced]
-            # Naive mode: honour the reference's circuit/temperature but pay
-            # for a fresh Newton solve, like the legacy per-analysis path.
-            ref = op_specs[referenced]
-            return self._operating_point(bench, design, circuits, ops, ref,
-                                         transient=ref.transient)
+            self.n_op_reused += 1
+            return results[referenced]
         return self._operating_point(bench, design, circuits, ops, spec, transient)
 
     # ------------------------------------------------------------------ #
@@ -123,8 +109,6 @@ class Simulator:
         circuits: dict[str, object] = {}
         ops: dict[tuple, OperatingPoint] = {}
         results: dict[str, object] = {}
-        op_specs = {spec.name: spec for spec in bench.analyses
-                    if isinstance(spec, OPSpec)}
 
         for spec in bench.analyses:
             temperature = spec.resolved_temperature(bench.temperature)
@@ -137,7 +121,7 @@ class Simulator:
                 results[spec.name] = op
             elif isinstance(spec, ACSpec):
                 op = self._resolve_op(bench, design, circuits, ops, results,
-                                      op_specs, spec, transient=False)
+                                      spec, transient=False)
                 if not op.converged:
                     return self._failed(f"{spec.name}: bias for AC analysis "
                                         "did not converge", results)
@@ -146,7 +130,7 @@ class Simulator:
                                                  observe=list(spec.observe))
             elif isinstance(spec, NoiseSpec):
                 op = self._resolve_op(bench, design, circuits, ops, results,
-                                      op_specs, spec, transient=False)
+                                      spec, transient=False)
                 if not op.converged:
                     return self._failed(f"{spec.name}: bias for noise analysis "
                                         "did not converge", results)
@@ -158,7 +142,7 @@ class Simulator:
                     return self._failed(f"{spec.name}: {exc}", results)
             elif isinstance(spec, TranSpec):
                 op = self._resolve_op(bench, design, circuits, ops, results,
-                                      op_specs, spec, transient=True)
+                                      spec, transient=True)
                 if not op.converged:
                     return self._failed(f"{spec.name}: transient initial "
                                         "condition did not converge", results)

@@ -165,10 +165,10 @@ class Testbench:
     def metric_names(self) -> list[str]:
         return [measure.name for measure in self.measures]
 
-    def run(self, design: dict[str, float], **simulator_options) -> SimResult:
+    def run(self, design: dict[str, float]) -> SimResult:
         """Convenience one-shot execution through a fresh Simulator session."""
         from repro.bench.simulator import Simulator
-        return Simulator(**simulator_options).run(self, design)
+        return Simulator().run(self, design)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Testbench({self.name!r}, circuits={sorted(self.builders)}, "

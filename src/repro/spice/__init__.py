@@ -45,13 +45,7 @@ from repro.spice.dc import (
 )
 from repro.spice.ac import ACResult, ac_analysis, ac_analysis_batch
 from repro.spice.noise import NoiseResult, noise_analysis
-from repro.spice.mna import (
-    SPARSE_SIZE_THRESHOLD,
-    BatchStamper,
-    SparseBatchStamper,
-    SparseStamper,
-    Stamper,
-)
+from repro.spice.mna import BatchStamper, Stamper
 from repro.spice.transient import (
     TransientResult,
     transient_analysis,
@@ -89,9 +83,6 @@ __all__ = [
     "noise_analysis",
     "Stamper",
     "BatchStamper",
-    "SparseStamper",
-    "SparseBatchStamper",
-    "SPARSE_SIZE_THRESHOLD",
     "TransientResult",
     "transient_analysis",
     "transient_analysis_batch",

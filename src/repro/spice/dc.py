@@ -5,17 +5,14 @@ Two drivers share one model of the iteration:
 * :func:`dc_operating_point` -- classic serial Newton on one circuit;
 * :func:`dc_operating_point_batch` -- the same gmin ladder on ``B``
   topology-identical circuits at once, assembling one ``(B, size, size)``
-  tensor per iteration (or one shared-pattern sparse batch) and solving it
-  with a single stacked call.  Per-design convergence masking freezes
-  finished designs exactly where the serial iteration would stop them, so
-  each design's iterate sequence -- and hence its final
-  :class:`OperatingPoint` -- is bit-identical to a serial solve of that
-  design alone with the same solver.
+  tensor per iteration and solving it with a single stacked LAPACK call.
+  Per-design convergence masking freezes finished designs exactly where
+  the serial iteration would stop them, so each design's iterate sequence
+  -- and hence its final :class:`OperatingPoint` -- is bit-identical to a
+  serial solve of that design alone.
 
-Solver selection (``solver=`` on both drivers): ``"dense"`` uses the LAPACK
-path, ``"sparse"`` CSR + SuperLU, and ``"auto"`` (default) picks sparse once
-the MNA system size reaches
-:data:`repro.spice.mna.SPARSE_SIZE_THRESHOLD`.
+Both drivers solve dense MNA systems: the circuits this package sizes have
+at most a few dozen unknowns.
 """
 
 from __future__ import annotations
@@ -26,12 +23,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import ConvergenceError, NetlistError
-from repro.spice.mna import (
-    HAVE_SCIPY_SPARSE,
-    SPARSE_SIZE_THRESHOLD,
-    BatchStamper,
-    SparseBatchStamper,
-)
+from repro.spice.mna import BatchStamper
 from repro.spice.netlist import Circuit
 from repro.telemetry import SolveStats
 
@@ -76,22 +68,9 @@ class OperatingPoint:
         return self.node_voltages[node]
 
 
-def _resolve_solver(size: int, solver: str) -> str:
-    """Resolve a ``solver=`` argument (``"auto"``/``"dense"``/``"sparse"``)."""
-    if solver == "auto":
-        if HAVE_SCIPY_SPARSE and size >= SPARSE_SIZE_THRESHOLD:
-            return "sparse"
-        return "dense"
-    if solver not in ("dense", "sparse"):
-        raise ValueError(f"solver must be 'auto', 'dense' or 'sparse', "
-                         f"got {solver!r}")
-    return solver
-
-
 def _newton_solve(circuit: Circuit, start: np.ndarray, temperature: float,
                   gmin: float, max_iterations: int, tolerance: float,
-                  damping: float, solver: str = "dense",
-                  collect_residuals: bool = False,
+                  damping: float, collect_residuals: bool = False,
                   ) -> tuple[np.ndarray, bool, int, float, int, list | None]:
     """Damped Newton iteration at a fixed gmin level.
 
@@ -103,7 +82,7 @@ def _newton_solve(circuit: Circuit, start: np.ndarray, temperature: float,
     only -- the extra list appends never run on a disabled hot path).
     """
     voltages = start.copy()
-    stamper = circuit.make_dc_stamper(solver)
+    stamper = circuit.make_stamper()
     residual = float("nan")
     clamps = 0
     trajectory: list | None = [] if collect_residuals else None
@@ -152,7 +131,7 @@ _RESCUE_MAX_FAILED_STEPS = 2
 def _gmin_ladder(circuit: Circuit, start: np.ndarray, temperature: float,
                  gmin_steps: tuple[float, ...], max_iterations: int,
                  tolerance: float, damping: float,
-                 max_failed_steps: int | None = None, solver: str = "dense",
+                 max_failed_steps: int | None = None,
                  collect_residuals: bool = False,
                  ) -> tuple[np.ndarray, bool, int, dict]:
     """Run Newton down a gmin ladder, warm-starting each step.
@@ -178,7 +157,7 @@ def _gmin_ladder(circuit: Circuit, start: np.ndarray, temperature: float,
     for gmin in gmin_steps:
         voltages, converged, used, residual, step_clamps, trajectory = (
             _newton_solve(circuit, voltages, temperature, gmin,
-                          max_iterations, tolerance, damping, solver=solver,
+                          max_iterations, tolerance, damping,
                           collect_residuals=collect_residuals))
         total_iterations += used
         iterations_per_gmin.append(used)
@@ -200,7 +179,7 @@ def dc_operating_point(circuit: Circuit, temperature: float = 27.0,
                        gmin_steps: tuple[float, ...] = (1e-2, 1e-4, 1e-6, 1e-9, 1e-12),
                        initial_guess: np.ndarray | None = None,
                        raise_on_failure: bool = False,
-                       rescue: bool = True, solver: str = "auto") -> OperatingPoint:
+                       rescue: bool = True) -> OperatingPoint:
     """Find the DC operating point of ``circuit``.
 
     gmin stepping: the circuit is first solved with a large conductance from
@@ -225,7 +204,6 @@ def dc_operating_point(circuit: Circuit, temperature: float = 27.0,
     """
     circuit.ensure_indices()
     size = circuit.n_nodes + circuit.n_branches
-    solver = _resolve_solver(size, solver)
     start = np.zeros(size) if initial_guess is None else np.asarray(
         initial_guess, dtype=float).copy()
     if start.shape[0] != size:
@@ -235,8 +213,7 @@ def dc_operating_point(circuit: Circuit, temperature: float = 27.0,
     with telemetry.span("spice.dc", circuit=circuit.title):
         voltages, converged, total_iterations, info = _gmin_ladder(
             circuit, start.copy(), temperature, tuple(gmin_steps),
-            max_iterations, tolerance, damping, solver=solver,
-            collect_residuals=collect)
+            max_iterations, tolerance, damping, collect_residuals=collect)
         iterations_per_gmin = list(info["iterations_per_gmin"])
         clamps = info["clamps"]
         rescue_entered = False
@@ -245,7 +222,7 @@ def dc_operating_point(circuit: Circuit, temperature: float = 27.0,
             rescued, converged, used, info = _gmin_ladder(
                 circuit, start.copy(), temperature, _RESCUE_GMIN_STEPS,
                 _RESCUE_MAX_ITERATIONS, tolerance, _RESCUE_DAMPING,
-                max_failed_steps=_RESCUE_MAX_FAILED_STEPS, solver=solver,
+                max_failed_steps=_RESCUE_MAX_FAILED_STEPS,
                 collect_residuals=collect)
             total_iterations += used
             iterations_per_gmin.extend(info["iterations_per_gmin"])
@@ -321,16 +298,14 @@ class _BatchAssembler:
     constants.
     """
 
-    def __init__(self, circuits: list[Circuit], temperatures: np.ndarray,
-                 solver: str):
+    def __init__(self, circuits: list[Circuit], temperatures: np.ndarray):
         first = circuits[0]
         self.n_nodes = first.n_nodes
         self.n_branches = first.n_branches
         self.size = self.n_nodes + self.n_branches
         self.temperatures = temperatures
-        self.solver = solver
         # Telemetry counters: convergence-mask occupancy (active rows per
-        # assembled iteration over the full batch) and sparse pattern reuse.
+        # assembled iteration over the full batch).
         self.total_designs = len(circuits)
         self.assemblies = 0
         self.active_rows = 0
@@ -377,9 +352,7 @@ class _BatchAssembler:
         # Sub-batch gathers are memoized: the active set only shrinks a
         # handful of times per ladder, while stamping runs every iteration.
         self._gather_cache: dict[bytes, tuple] = {}
-        self._dense_stamper: BatchStamper | None = None
-        self._sparse_stamper: SparseBatchStamper | None = None
-        self._sparse_gmin: bool | None = None
+        self._stamper: BatchStamper | None = None
 
     def _gather(self, indices: np.ndarray) -> tuple:
         key = indices.tobytes()
@@ -407,38 +380,17 @@ class _BatchAssembler:
             return float("nan")
         return self.active_rows / (self.assemblies * self.total_designs)
 
-    @property
-    def pattern_reuse_hits(self) -> int:
-        stamper = self._sparse_stamper
-        return stamper.pattern_reuse_hits if stamper is not None else 0
-
     def assemble(self, indices: np.ndarray, voltages: np.ndarray, gmin: float):
         """Stamp the active sub-batch ``indices`` at trial ``voltages``."""
         batch_size = len(indices)
         self.assemblies += 1
         self.active_rows += batch_size
-        if self.solver == "sparse":
-            # Reused like the dense stamper so the locked triplet pattern
-            # (and its symbolic analysis) carries across Newton iterations.
-            # A gmin-presence flip would change the stamp sequence against
-            # the locked pattern, so it forces a rebuild.
-            stamper = self._sparse_stamper
-            if (stamper is None or stamper.batch_size != batch_size
-                    or self._sparse_gmin != (gmin > 0.0)):
-                stamper = SparseBatchStamper(batch_size, self.n_nodes,
-                                             self.n_branches)
-                self._sparse_stamper = stamper
-                self._sparse_gmin = gmin > 0.0
-            else:
-                stamper.reset()
+        stamper = self._stamper
+        if stamper is None or stamper.batch_size != batch_size:
+            stamper = BatchStamper(batch_size, self.n_nodes, self.n_branches)
+            self._stamper = stamper
         else:
-            stamper = self._dense_stamper
-            if stamper is None or stamper.batch_size != batch_size:
-                stamper = BatchStamper(batch_size, self.n_nodes,
-                                       self.n_branches)
-                self._dense_stamper = stamper
-            else:
-                stamper.reset()
+            stamper.reset()
         siblings, contexts, temperatures, fused_params = self._gather(indices)
         # One errstate frame for the whole stamp loop: device models produce
         # benign overflows/invalids on NaN trial voltages, and entering a
@@ -601,7 +553,7 @@ def dc_operating_point_batch(circuits, temperature=27.0,
                              gmin_steps: tuple[float, ...] = (1e-2, 1e-4, 1e-6, 1e-9, 1e-12),
                              initial_guess: np.ndarray | None = None,
                              raise_on_failure: bool = False,
-                             rescue: bool = True, solver: str = "auto",
+                             rescue: bool = True,
                              ) -> list[OperatingPoint]:
     """DC operating points of ``B`` topology-identical circuits at once.
 
@@ -615,7 +567,7 @@ def dc_operating_point_batch(circuits, temperature=27.0,
 
     ``temperature`` may be a scalar or a length-``B`` array (per-design
     corner temperatures).  Results are bit-identical to calling
-    :func:`dc_operating_point` per circuit with the same ``solver``.
+    :func:`dc_operating_point` per circuit.
     """
     circuits = list(circuits)
     if not circuits:
@@ -624,7 +576,6 @@ def dc_operating_point_batch(circuits, temperature=27.0,
     first = circuits[0]
     size = first.n_nodes + first.n_branches
     batch_size = len(circuits)
-    solver = _resolve_solver(size, solver)
     temperatures = np.asarray(temperature, dtype=float)
     if temperatures.ndim == 0:
         temperatures = np.full(batch_size, float(temperatures))
@@ -639,7 +590,7 @@ def dc_operating_point_batch(circuits, temperature=27.0,
             raise ValueError(f"initial_guess must have shape "
                              f"({batch_size}, {size}), got {start.shape}")
 
-    assembler = _BatchAssembler(circuits, temperatures, solver)
+    assembler = _BatchAssembler(circuits, temperatures)
     indices = np.arange(batch_size)
     voltages = start.copy()
     collect = telemetry.enabled()
@@ -678,7 +629,6 @@ def dc_operating_point_batch(circuits, temperature=27.0,
             converged[rescued] = True
 
     occupancy = assembler.occupancy
-    reuse_hits = assembler.pattern_reuse_hits
     per_design_stats = []
     for b in range(batch_size):
         trajectory = info["trajectories"][b] if not converged[b] else ()
@@ -692,15 +642,13 @@ def dc_operating_point_batch(circuits, temperature=27.0,
             final_residual=float(info["residual"][b]),
             final_gmin=float(info["gmin"][b]),
             residual_trajectory=tuple(trajectory),
-            batch_size=batch_size, batch_occupancy=occupancy,
-            pattern_reuse_hits=reuse_hits))
+            batch_size=batch_size, batch_occupancy=occupancy))
     if telemetry.enabled():
         for stats in per_design_stats:
             telemetry.record_solve(stats)
         if occupancy == occupancy:  # skip the no-assembly NaN
             telemetry.observe("repro_batch_occupancy", occupancy,
                               telemetry.FRACTION_BUCKETS)
-        telemetry.inc("repro_pattern_reuse_total", reuse_hits)
 
     if raise_on_failure and not converged.all():
         failures = indices[~converged]

@@ -231,12 +231,13 @@ class Device:
                        temperatures: np.ndarray, context=None) -> None:
         """Stamp DC contributions for a batch of sibling devices at once.
 
-        ``stamper`` is a batch stamper (dense or sparse) accepting scalar or
-        ``(B,)`` values per stamp; ``voltages`` is the ``(B, size)`` matrix of
-        trial solutions and ``context`` is (a row-sliced view of) whatever
-        :meth:`dc_batch_context` returned.  Overrides must accumulate exactly
-        the same additions in the same order as :meth:`stamp_dc` does per
-        design, so batched and serial Newton iterates stay bit-identical.
+        ``stamper`` is a :class:`~repro.spice.mna.BatchStamper` accepting
+        scalar or ``(B,)`` values per stamp; ``voltages`` is the
+        ``(B, size)`` matrix of trial solutions and ``context`` is (a
+        row-sliced view of) whatever :meth:`dc_batch_context` returned.
+        Overrides must accumulate exactly the same additions in the same
+        order as :meth:`stamp_dc` does per design, so batched and serial
+        Newton iterates stay bit-identical.
 
         The base implementation is the automatic per-design fallback: each
         sibling stamps through a serial view of its slice of the batch.

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.errors import NetlistError
 from repro.spice.devices.base import Device
-from repro.spice.mna import SparseStamper, Stamper
+from repro.spice.mna import Stamper
 
 GROUND = "0"
 _GROUND_ALIASES = {"0", "gnd", "gnd!", "vss"}
@@ -127,13 +127,6 @@ class Circuit:
     def make_stamper(self, dtype=float) -> Stamper:
         self.ensure_indices()
         return Stamper(self.n_nodes, self.n_branches, dtype=dtype)
-
-    def make_dc_stamper(self, solver: str = "dense"):
-        """A reusable DC stamper: dense :class:`Stamper` or :class:`SparseStamper`."""
-        self.ensure_indices()
-        if solver == "sparse":
-            return SparseStamper(self.n_nodes, self.n_branches)
-        return Stamper(self.n_nodes, self.n_branches, dtype=float)
 
     def stamp_dc(self, voltages: np.ndarray, temperature: float,
                  gmin: float = 0.0, stamper=None):

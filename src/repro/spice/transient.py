@@ -25,8 +25,7 @@ controller (time, timestep, integration method, LTE history, breakpoint
 cursor) stepping exactly as the serial controller would, while the per-step
 Newton solves of all in-flight designs are batched: one
 ``stamp_transient_batch`` pass per device column (see
-:mod:`repro.spice.devices.base`) assembles a ``(B, size, size)`` tensor --
-or a shared-pattern sparse batch whose symbolic analysis is computed once --
+:mod:`repro.spice.devices.base`) assembles a ``(B, size, size)`` tensor
 and a single stacked solve advances every design.  Because each design's
 controller decisions depend only on its own iterate sequence, batched
 results are bit-identical to serial runs of each design alone.
@@ -34,7 +33,6 @@ results are bit-identical to serial runs of each design alone.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,11 +42,10 @@ from repro.errors import ConvergenceError
 from repro.spice.dc import (
     OperatingPoint,
     _check_batch_topology,
-    _resolve_solver,
     dc_operating_point,
     dc_operating_point_batch,
 )
-from repro.spice.mna import BatchStamper, SparseBatchStamper
+from repro.spice.mna import BatchStamper
 from repro.spice.netlist import Circuit
 from repro.telemetry import SolveStats
 
@@ -292,6 +289,16 @@ def _initial_condition_message(title: str, operating_point: OperatingPoint,
     return message
 
 
+def _check_op_temperature(temperature: float,
+                          operating_point: OperatingPoint) -> None:
+    """Reject a ``temperature=`` that disagrees with the supplied bias."""
+    if float(temperature) != float(operating_point.temperature):
+        raise ValueError(
+            f"temperature={float(temperature):g}C disagrees with the "
+            f"operating point's {float(operating_point.temperature):g}C; "
+            "omit temperature= or pass the operating point's value")
+
+
 def transient_analysis(circuit: Circuit, t_stop: float,
                        observe: list[str] | None = None,
                        temperature: float | None = None,
@@ -304,7 +311,6 @@ def transient_analysis(circuit: Circuit, t_stop: float,
                        damping: float = 0.5,
                        max_steps: int = 200_000,
                        operating_point: OperatingPoint | None = None,
-                       solver: str = "auto",
                        ) -> TransientResult:
     """Integrate ``circuit`` from its DC initial condition to ``t_stop``.
 
@@ -317,10 +323,10 @@ def transient_analysis(circuit: Circuit, t_stop: float,
     temperature:
         Analysis temperature in Celsius.  Defaults to the supplied
         ``operating_point``'s temperature (27 when solving the initial
-        condition here).  Passing a value that *disagrees* with a supplied
-        operating point is deprecated -- the companion models would then be
-        evaluated at a different temperature from the bias they linearise
-        around -- and the operating point's temperature wins.
+        condition here).  A value that *disagrees* with a supplied
+        operating point raises :class:`ValueError`: the companion models
+        would be evaluated at a different temperature from the bias they
+        linearise around.
     dt_initial / dt_min / dt_max:
         Startup, floor and ceiling timesteps; default to ``1e-4``, ``1e-12``
         and ``1/50`` of ``t_stop``.
@@ -332,10 +338,6 @@ def transient_analysis(circuit: Circuit, t_stop: float,
         Pre-computed initial condition; by default
         :func:`transient_operating_point` is solved (waveform sources held at
         their t = 0 values).
-    solver:
-        ``"auto"`` (dense below ``SPARSE_SIZE_THRESHOLD`` unknowns, CSR +
-        SuperLU at and above it -- matching the DC and batched-transient
-        policies), ``"dense"`` or ``"sparse"``.
 
     Raises
     ------
@@ -348,18 +350,10 @@ def transient_analysis(circuit: Circuit, t_stop: float,
     if temperature is None:
         temperature = (operating_point.temperature
                        if operating_point is not None else 27.0)
-    elif (operating_point is not None
-          and float(temperature) != float(operating_point.temperature)):
-        warnings.warn(
-            "passing temperature= alongside operating_point= is deprecated "
-            "when the two disagree; the operating point's temperature "
-            f"({operating_point.temperature:g}C) is used so the companion "
-            "models stay consistent with the bias",
-            DeprecationWarning, stacklevel=2)
-        temperature = float(operating_point.temperature)
+    elif operating_point is not None:
+        _check_op_temperature(temperature, operating_point)
     circuit.ensure_indices()
     observed = list(observe) if observe is not None else circuit.nodes
-    solver = _resolve_solver(circuit.n_nodes + circuit.n_branches, solver)
     dt_initial = t_stop * 1e-4 if dt_initial is None else float(dt_initial)
     dt_min = t_stop * 1e-12 if dt_min is None else float(dt_min)
     dt_max = t_stop / 50.0 if dt_max is None else float(dt_max)
@@ -375,7 +369,7 @@ def transient_analysis(circuit: Circuit, t_stop: float,
     eps = t_stop * 1e-12
     # One stamper for the whole sweep: every Newton iteration of every step
     # resets and restamps it in place instead of reallocating.
-    stamper = circuit.make_dc_stamper(solver)
+    stamper = circuit.make_stamper()
 
     t = 0.0
     solution = operating_point.voltages.copy()
@@ -542,10 +536,8 @@ class _TranBatchAssembler:
     is transposed into per-device sibling columns, each device's vectorized
     ``transient_batch_context`` is precomputed over the *full* batch, and
     arbitrary in-flight subsets stamp by slicing those contexts row-wise.
-    The dense :class:`BatchStamper` / sparse :class:`SparseBatchStamper` are
-    cached across Newton iterations, so the sparse triplet pattern locks
-    after the first assembly and its symbolic analysis (column ordering and
-    the CSR-to-CSC mapping) is shared by every subsequent factorization.
+    The :class:`BatchStamper` is cached across Newton iterations and
+    reallocated only when the in-flight batch size changes.
     """
 
     #: Gather memo bound: distinct active sets over a transient run scale
@@ -555,13 +547,12 @@ class _TranBatchAssembler:
     _GATHER_CACHE_MAX = 128
 
     def __init__(self, circuits: list[Circuit], temperatures: np.ndarray,
-                 states_by_design: list, solver: str):
+                 states_by_design: list):
         first = circuits[0]
         self.n_nodes = first.n_nodes
         self.n_branches = first.n_branches
         self.size = self.n_nodes + self.n_branches
         self.temperatures = temperatures
-        self.solver = solver
         # Telemetry counters, mirroring the DC assembler's.
         self.total_designs = len(circuits)
         self.assemblies = 0
@@ -581,8 +572,7 @@ class _TranBatchAssembler:
              for b in range(len(circuits))]
             for column in self.columns]
         self._gather_cache: dict[bytes, tuple] = {}
-        self._dense_stamper: BatchStamper | None = None
-        self._sparse_stamper: SparseBatchStamper | None = None
+        self._stamper: BatchStamper | None = None
 
     def _gather(self, indices: np.ndarray) -> tuple:
         key = indices.tobytes()
@@ -611,33 +601,18 @@ class _TranBatchAssembler:
             return float("nan")
         return self.active_rows / (self.assemblies * self.total_designs)
 
-    @property
-    def pattern_reuse_hits(self) -> int:
-        stamper = self._sparse_stamper
-        return stamper.pattern_reuse_hits if stamper is not None else 0
-
     def assemble(self, indices: np.ndarray, voltages: np.ndarray,
                  times: np.ndarray, dts: np.ndarray, trap: np.ndarray):
         """Stamp the in-flight designs ``indices`` at their Newton iterates."""
         batch_size = len(indices)
         self.assemblies += 1
         self.active_rows += batch_size
-        if self.solver == "sparse":
-            stamper = self._sparse_stamper
-            if stamper is None or stamper.batch_size != batch_size:
-                stamper = SparseBatchStamper(
-                    batch_size, self.n_nodes, self.n_branches)
-                self._sparse_stamper = stamper
-            else:
-                stamper.reset()
+        stamper = self._stamper
+        if stamper is None or stamper.batch_size != batch_size:
+            stamper = BatchStamper(batch_size, self.n_nodes, self.n_branches)
+            self._stamper = stamper
         else:
-            stamper = self._dense_stamper
-            if stamper is None or stamper.batch_size != batch_size:
-                stamper = BatchStamper(batch_size, self.n_nodes,
-                                       self.n_branches)
-                self._dense_stamper = stamper
-            else:
-                stamper.reset()
+            stamper.reset()
         siblings, contexts, states, temperatures = self._gather(indices)
         # One errstate frame for the whole stamp loop, like the DC assembler.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -646,7 +621,7 @@ class _TranBatchAssembler:
                     stamper, siblings[position], voltages, states[position],
                     times, dts, trap, temperatures, contexts[position])
         # The serial sweep always applies _TRANSIENT_GMIN, so this stamp is
-        # unconditional -- which also keeps the locked sparse pattern stable.
+        # unconditional.
         stamper.add_gmin(_TRANSIENT_GMIN)
         return stamper
 
@@ -722,7 +697,6 @@ def transient_analysis_batch(circuits, t_stop: float,
                              damping: float = 0.5,
                              max_steps: int = 200_000,
                              operating_points: list[OperatingPoint] | None = None,
-                             solver: str = "auto",
                              return_errors: bool = False) -> list:
     """Transient analysis of ``B`` topology-identical circuits at once.
 
@@ -733,7 +707,7 @@ def transient_analysis_batch(circuits, t_stop: float,
     *asynchronously* (one may be on its 40th accepted step while another is
     still rejecting its 2nd); a design leaves the batch only when it reaches
     ``t_stop`` or fails.  Results are bit-identical to
-    :func:`transient_analysis` per circuit with the same ``solver``:
+    :func:`transient_analysis` per circuit:
     identical accepted times, waveforms and accept/reject/Newton counters.
 
     Parameters mirror :func:`transient_analysis`, plus:
@@ -742,8 +716,8 @@ def transient_analysis_batch(circuits, t_stop: float,
         Scalar or length-``B`` array of per-design temperatures.  Defaults
         to each supplied operating point's temperature (27 when the initial
         conditions are solved here).  Per design, a value disagreeing with a
-        supplied operating point is deprecated and the operating point wins,
-        exactly like the serial driver.
+        supplied operating point raises :class:`ValueError`, exactly like
+        the serial driver.
     operating_points:
         Pre-computed initial conditions, one per circuit; by default
         :func:`transient_operating_point_batch` solves them.
@@ -765,9 +739,7 @@ def transient_analysis_batch(circuits, t_stop: float,
         raise ValueError(f"t_stop must be positive, got {t_stop}")
     _check_batch_topology(circuits)
     first = circuits[0]
-    size = first.n_nodes + first.n_branches
     batch_size = len(circuits)
-    solver = _resolve_solver(size, solver)
 
     if operating_points is not None:
         operating_points = list(operating_points)
@@ -788,18 +760,9 @@ def transient_analysis_batch(circuits, t_stop: float,
         elif temperatures.shape != (batch_size,):
             raise ValueError(f"temperature must be a scalar or have shape "
                              f"({batch_size},), got {temperatures.shape}")
-        else:
-            temperatures = temperatures.copy()
         if operating_points is not None:
-            for b, op in enumerate(operating_points):
-                if float(temperatures[b]) != float(op.temperature):
-                    warnings.warn(
-                        "passing temperature= alongside operating_point= is "
-                        "deprecated when the two disagree; the operating "
-                        f"point's temperature ({op.temperature:g}C) is used "
-                        "so the companion models stay consistent with the "
-                        "bias", DeprecationWarning, stacklevel=2)
-                    temperatures[b] = float(op.temperature)
+            for celsius, op in zip(temperatures, operating_points):
+                _check_op_temperature(celsius, op)
     if operating_points is None:
         operating_points = transient_operating_point_batch(circuits,
                                                            temperatures)
@@ -827,8 +790,7 @@ def transient_analysis_batch(circuits, t_stop: float,
         d.breakpoints = _collect_breakpoints(d.circuit, t_stop)
         d.dt = min(dt_initial, dt_max, d.breakpoints[0])
 
-    assembler = _TranBatchAssembler(circuits, temperatures, states_by_design,
-                                    solver)
+    assembler = _TranBatchAssembler(circuits, temperatures, states_by_design)
 
     def _begin_attempt(d: _TranDesign) -> None:
         """Serial loop-top bookkeeping for one design's next step attempt."""
@@ -971,13 +933,11 @@ def transient_analysis_batch(circuits, t_stop: float,
             active = still_active
 
     occupancy = assembler.occupancy
-    reuse_hits = assembler.pattern_reuse_hits
     record = telemetry.enabled()
     if record:
         if occupancy == occupancy:  # skip the no-assembly NaN
             telemetry.observe("repro_batch_occupancy", occupancy,
                               telemetry.FRACTION_BUCKETS)
-        telemetry.inc("repro_pattern_reuse_total", reuse_hits)
     outcomes: list = []
     for d in designs:
         if d.error is not None:
@@ -999,8 +959,7 @@ def transient_analysis_batch(circuits, t_stop: float,
             final_residual=d.attempt_residual, final_gmin=_TRANSIENT_GMIN,
             dt_min=d.dt_smallest if d.n_accepted else float("nan"),
             dt_max=d.dt_largest if d.n_accepted else float("nan"),
-            batch_size=batch_size, batch_occupancy=occupancy,
-            pattern_reuse_hits=reuse_hits)
+            batch_size=batch_size, batch_occupancy=occupancy)
         if record:
             telemetry.record_solve(stats)
         times_array = np.array(d.times)

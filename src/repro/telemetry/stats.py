@@ -47,8 +47,6 @@ class SolveStats:
     batch_size: int = 1
     #: Mean fraction of the batch still active per Newton iteration.
     batch_occupancy: float = math.nan
-    #: Sparse stamper assemblies that reused the locked sparsity pattern.
-    pattern_reuse_hits: int = 0
 
     def failure_detail(self) -> str:
         """The per-design fragment embedded in ConvergenceError messages.
@@ -90,6 +88,4 @@ class SolveStats:
             out["batch_size"] = self.batch_size
             if not math.isnan(self.batch_occupancy):
                 out["batch_occupancy"] = self.batch_occupancy
-            if self.pattern_reuse_hits:
-                out["pattern_reuse_hits"] = self.pattern_reuse_hits
         return out

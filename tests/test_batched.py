@@ -6,9 +6,9 @@ the ``batched`` execution backend must be **bit-identical** to its serial
 counterpart -- converged flags, iteration counts, raw voltage vectors,
 metric dictionaries and session counters alike.  This suite enforces that
 over every registry circuit on both technology nodes, for good and random
-(often failing, rescue-ladder-exercising) designs, on the dense and the
-sparse solver paths, and through each batched integration point: the
-evaluation engine, the Monte Carlo runner and the PVT corner sweep.
+(often failing, rescue-ladder-exercising) designs, plus a 200+-unknown
+resistor ladder, and through each batched integration point: the evaluation
+engine, the Monte Carlo runner and the PVT corner sweep.
 """
 
 import warnings
@@ -29,13 +29,9 @@ from repro.errors import ConvergenceError
 from repro.mc import MonteCarloConfig, MonteCarloRunner
 from repro.mc.samplers import make_sampler
 from repro.spice import (
-    SPARSE_SIZE_THRESHOLD,
     BatchStamper,
     Circuit,
-    CurrentSource,
     Resistor,
-    SparseBatchStamper,
-    SparseStamper,
     Stamper,
     VoltageSource,
     ac_analysis,
@@ -111,26 +107,6 @@ class TestBatchedDC:
             for op_serial, op_batched in zip(serial, batched):
                 assert_ops_identical(op_serial, op_batched)
 
-    @pytest.mark.parametrize("name", FAST_CIRCUITS)
-    def test_forced_sparse_bit_identical(self, name):
-        problem = make_problem(name)
-        designs = _designs(problem, name, n_random=3, seed=5)
-        for key in problem.bench.builders:
-            build = problem.bench.builders[key]
-            serial = [dc_operating_point(build(design), solver="sparse")
-                      for design in designs]
-            batched = dc_operating_point_batch(
-                [build(design) for design in designs], solver="sparse")
-            for op_serial, op_batched in zip(serial, batched):
-                assert_ops_identical(op_serial, op_batched)
-            # And the sparse path agrees with the default dense one.
-            dense = dc_operating_point_batch(
-                [build(design) for design in designs])
-            for op_sparse, op_dense in zip(batched, dense):
-                assert op_sparse.converged == op_dense.converged
-                assert np.allclose(op_sparse.voltages, op_dense.voltages,
-                                   rtol=1e-9, atol=1e-9, equal_nan=True)
-
     def test_per_design_temperatures(self):
         problem = make_problem("two_stage_opamp")
         design = GOOD_DESIGNS["two_stage_opamp"]
@@ -152,25 +128,29 @@ class TestBatchedDC:
         with pytest.raises(NetlistError):
             dc_operating_point_batch([c1, c2])
 
-    def test_auto_solver_picks_sparse_above_threshold(self):
-        # A resistor ladder big enough to cross the sparse threshold: the
-        # auto-selected sparse path must match a forced dense solve.
-        def ladder(n_nodes):
+    def test_large_ladder_bit_identical_and_exact(self):
+        # A 210-resistor series ladder (211 unknowns) -- far past every
+        # registry circuit -- on the dense path: batched must match serial
+        # bit for bit, and every node must sit on its analytic divider
+        # voltage V * (remaining resistors) / (total resistors), up to the
+        # ~3 uV the final 1e-12 S gmin to ground leaks along the ladder.
+        def ladder(n_resistors, volts):
             circuit = Circuit("ladder")
-            circuit.add(VoltageSource("V1", "n0", "0", dc=1.0))
-            for i in range(n_nodes):
+            circuit.add(VoltageSource("V1", "n0", "0", dc=volts))
+            for i in range(n_resistors - 1):
                 circuit.add(Resistor(f"R{i}", f"n{i}", f"n{i + 1}", 1e3))
-            circuit.add(Resistor("RL", f"n{n_nodes}", "0", 1e3))
+            circuit.add(Resistor("RL", f"n{n_resistors - 1}", "0", 1e3))
             return circuit
 
-        n = SPARSE_SIZE_THRESHOLD + 10
-        auto = dc_operating_point_batch([ladder(n), ladder(n)])
-        dense = dc_operating_point_batch([ladder(n), ladder(n)],
-                                         solver="dense")
-        for op_auto, op_dense in zip(auto, dense):
-            assert op_auto.converged and op_dense.converged
-            assert np.allclose(op_auto.voltages, op_dense.voltages,
-                               rtol=1e-9, atol=1e-12)
+        n, supplies = 210, (1.0, 2.5)
+        serial = [dc_operating_point(ladder(n, v)) for v in supplies]
+        batched = dc_operating_point_batch([ladder(n, v) for v in supplies])
+        for volts, op_serial, op_batched in zip(supplies, serial, batched):
+            assert_ops_identical(op_serial, op_batched)
+            assert op_batched.converged
+            for i in range(n):
+                assert op_batched.voltage(f"n{i}") == pytest.approx(
+                    volts * (n - i) / n, abs=1e-5)
 
 
 # ===================================================================== #
@@ -355,7 +335,7 @@ class TestStamperUnits:
         problem = make_problem("two_stage_opamp")
         circuit = problem.bench.builders["main"](
             GOOD_DESIGNS["two_stage_opamp"])
-        stamper = circuit.make_dc_stamper()
+        stamper = circuit.make_stamper()
         voltages = np.zeros(circuit.n_nodes + circuit.n_branches)
         circuit.stamp_dc(voltages, 27.0, gmin=1e-3, stamper=stamper)
         first = stamper.matrix.copy(), stamper.rhs.copy()
@@ -386,23 +366,8 @@ class TestStamperUnits:
         assert np.array_equal(stamper.matrix[:, 0, 0],
                               np.array([2.0, 3.0, 4.0]))
 
-    def test_sparse_batch_stamper_matches_dense(self):
-        circuit = Circuit("divider")
-        circuit.add(VoltageSource("V1", "in", "0", dc=2.0))
-        circuit.add(Resistor("R1", "in", "out", 1e3))
-        circuit.add(Resistor("R2", "out", "0", 1e3))
-        circuit.add(CurrentSource("I1", "out", "0", dc=1e-4))
-        serial = dc_operating_point(circuit, solver="dense")
-        sparse_serial = dc_operating_point(circuit, solver="sparse")
-        assert serial.converged and sparse_serial.converged
-        np.testing.assert_allclose(serial.voltages, sparse_serial.voltages,
-                                   rtol=1e-12, atol=1e-15)
-        # Sparse-batch is bit-identical to sparse-serial.
-        batched = dc_operating_point_batch([circuit], solver="sparse")[0]
-        assert np.array_equal(sparse_serial.voltages, batched.voltages)
-
-    def test_sparse_stamper_lstsq_on_singular(self):
-        stamper = SparseStamper(n_nodes=2, n_branches=0)
+    def test_stamper_lstsq_on_singular(self):
+        stamper = Stamper(n_nodes=2, n_branches=0)
         stamper.add_entry(0, 0, 1.0)
         stamper.add_rhs(0, 2.0)
         # Row/column 1 is empty: singular, solve must raise, lstsq must not.

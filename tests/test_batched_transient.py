@@ -5,11 +5,9 @@ a batch must reproduce its serial ``transient_analysis`` run **bit for
 bit** -- accepted timepoints, waveforms, accept/reject counters, Newton
 iteration totals, and even the exception type and message when a design
 fails.  This suite enforces that over every registry circuit (good and
-random, often non-convergent designs), at batch sizes 1 / 8 / 64, with
-mixed per-design temperatures, on the dense and forced-sparse solver
-paths, and through the :class:`~repro.bench.BatchSimulator` TranSpec
-integration.  It also unit-tests the sparse pattern lock that makes the
-shared symbolic analysis safe.
+random, often non-convergent designs) and a linear RC ladder, at batch
+sizes 1 / 8 / 64, with mixed per-design temperatures, and through the
+:class:`~repro.bench.BatchSimulator` TranSpec integration.
 """
 
 import warnings
@@ -24,8 +22,6 @@ from repro.spice import (
     Capacitor,
     Circuit,
     Resistor,
-    SparseBatchStamper,
-    SparseStamper,
     StepWaveform,
     VoltageSource,
     dc_operating_point,
@@ -168,31 +164,26 @@ class TestBatchedTransient:
         first = next(o for o in serial if isinstance(o, Exception))
         assert str(excinfo.value) == str(first)
 
-    def test_forced_sparse_bit_identical(self):
-        problem = make_problem("two_stage_opamp_settling")
-        builder = problem.bench.builders["main"]
-        designs = _designs(problem, "two_stage_opamp_settling", n_random=3)
-        serial = _serial_outcomes(builder, designs, solver="sparse")
-        batched = transient_analysis_batch(
-            [builder(design) for design in designs], T_STOP,
-            solver="sparse", return_errors=True)
-        for outcome_serial, outcome_batched in zip(serial, batched):
-            assert_tran_identical(outcome_serial, outcome_batched)
-
-    def test_temperature_disagreeing_with_ops_warns_and_op_wins(self):
+    def test_temperature_disagreeing_with_ops_raises(self):
         problem = make_problem("two_stage_opamp_settling")
         builder = problem.bench.builders["main"]
         design = GOOD_DESIGNS["two_stage_opamp_settling"]
         circuits = [builder(design) for _ in range(2)]
         ops = transient_operating_point_batch(circuits, temperature=85.0)
-        with pytest.warns(DeprecationWarning):
-            batched = transient_analysis_batch(circuits, T_STOP,
-                                               temperature=27.0,
-                                               operating_points=ops)
+        # The message names both temperatures, on both drivers.
+        with pytest.raises(ValueError, match=r"temperature=27C .* 85C"):
+            transient_analysis_batch(circuits, T_STOP, temperature=27.0,
+                                     operating_points=ops)
+        with pytest.raises(ValueError, match=r"temperature=27C .* 85C"):
+            transient_analysis(builder(design), T_STOP, temperature=27.0,
+                               operating_point=ops[0])
+        # A matching (or omitted) temperature is accepted silently.
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+            warnings.simplefilter("error")
+            batched = transient_analysis_batch(circuits, T_STOP,
+                                               temperature=85.0,
+                                               operating_points=ops)
             serial = transient_analysis(builder(design), T_STOP,
-                                        temperature=27.0,
                                         operating_point=ops[0])
         assert_tran_identical(serial, batched[0])
 
@@ -225,7 +216,7 @@ class TestBatchedTransient:
 
 
 # ===================================================================== #
-# sparse pattern lock                                                   #
+# linear RC ladder                                                      #
 # ===================================================================== #
 def _ladder(n_sections, r_scale):
     """An RC ladder driven by a step -- linear, arbitrary-size, transient."""
@@ -239,78 +230,16 @@ def _ladder(n_sections, r_scale):
     return circuit
 
 
-class TestSparsePatternLock:
-    def test_ladder_forced_sparse_bit_identical(self):
+class TestLadderTransient:
+    def test_ladder_bit_identical(self):
         scales = [0.5, 1.0, 2.0, 4.0]
         t_stop = 1e-7
-        serial = [transient_analysis(_ladder(12, scale), t_stop,
-                                     solver="sparse") for scale in scales]
+        serial = [transient_analysis(_ladder(12, scale), t_stop)
+                  for scale in scales]
         batched = transient_analysis_batch(
-            [_ladder(12, scale) for scale in scales], t_stop,
-            solver="sparse")
+            [_ladder(12, scale) for scale in scales], t_stop)
         for outcome_serial, outcome_batched in zip(serial, batched):
             assert_tran_identical(outcome_serial, outcome_batched)
-
-    def test_locked_reassembly_matches_serial_stamper(self):
-        circuits = [_ladder(6, scale) for scale in (1.0, 3.0)]
-        for circuit in circuits:
-            circuit.ensure_indices()
-        first = circuits[0]
-        temperatures = np.array([27.0, 27.0])
-        batch = SparseBatchStamper(2, first.n_nodes, first.n_branches)
-        rng = np.random.default_rng(0)
-        for assembly in range(3):
-            batch.reset()
-            voltages = rng.standard_normal((2, first.n_nodes
-                                            + first.n_branches))
-            for position in range(len(first.devices)):
-                batch.stamp_device_serial(
-                    [circuit.devices[position] for circuit in circuits],
-                    voltages, temperatures)
-            batch.add_gmin(1e-12)
-            assert batch.pattern_locked == (assembly > 0)
-            for b, circuit in enumerate(circuits):
-                reference = SparseStamper(first.n_nodes, first.n_branches)
-                for device in circuit.devices:
-                    device.stamp_dc(reference, voltages[b], 27.0)
-                reference.add_gmin(1e-12)
-                np.testing.assert_array_equal(batch.solve_design(b),
-                                              reference.solve())
-
-    def _locked_stamper(self):
-        circuits = [_ladder(4, 1.0), _ladder(4, 2.0)]
-        for circuit in circuits:
-            circuit.ensure_indices()
-        first = circuits[0]
-        temperatures = np.array([27.0, 27.0])
-        batch = SparseBatchStamper(2, first.n_nodes, first.n_branches)
-        voltages = np.zeros((2, first.n_nodes + first.n_branches))
-
-        def stamp_all():
-            for position in range(len(first.devices)):
-                batch.stamp_device_serial(
-                    [circuit.devices[position] for circuit in circuits],
-                    voltages, temperatures)
-
-        stamp_all()
-        batch.add_gmin(1e-12)
-        batch.reset()  # locks the pattern
-        assert batch.pattern_locked
-        return batch, stamp_all
-
-    def test_locked_pattern_divergence_raises(self):
-        batch, _ = self._locked_stamper()
-        # The first assembly's position 0 is the step source's branch stamp;
-        # a node-diagonal entry there diverges from the locked pattern.
-        with pytest.raises(ValueError, match="locked pattern"):
-            batch.add_entry(batch.n_nodes - 1, batch.n_nodes - 1,
-                            np.ones(2))
-
-    def test_incomplete_locked_assembly_rejected(self):
-        batch, stamp_all = self._locked_stamper()
-        stamp_all()  # ... but no add_gmin: assembly incomplete
-        with pytest.raises(ValueError, match="incomplete"):
-            batch.solve()
 
 
 # ===================================================================== #

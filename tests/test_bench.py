@@ -110,14 +110,6 @@ class TestOperatingPointReuse:
         assert result.stats["n_op_reused"] == 1
         assert result.stats["n_circuits_built"] == 1
 
-    def test_naive_mode_resolves_per_analysis(self):
-        problem = make_problem("two_stage_opamp")
-        design = GOOD_DESIGNS["two_stage_opamp"]
-        shared = Simulator(reuse_op=True).run(problem.bench, design)
-        naive = Simulator(reuse_op=False).run(problem.bench, design)
-        assert naive.stats["n_op_solves"] > shared.stats["n_op_solves"]
-        assert naive.metrics == shared.metrics  # reuse never changes results
-
     def test_solver_call_count_drops_for_multi_analysis_bench(self, monkeypatch):
         # A bench with several analyses around one bias must hit the Newton
         # solver once; count actual dc_operating_point calls to be sure the
@@ -236,13 +228,15 @@ class TestTemperature:
         circuit.add(Resistor("R1", "in", "out", 1e3))
         circuit.add(Capacitor("C1", "out", "0", 1e-9))
         op = transient_operating_point(circuit, temperature=85.0)
-        with pytest.warns(DeprecationWarning, match="temperature"):
+        with pytest.raises(ValueError, match=r"temperature=27C .* 85C"):
             transient_analysis(circuit, 1e-6, observe=["out"],
                                operating_point=op, temperature=27.0)
         # Matching (or omitted) temperatures stay silent.
         import warnings
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error")
+            transient_analysis(circuit, 1e-6, observe=["out"],
+                               operating_point=op, temperature=85.0)
             transient_analysis(circuit, 1e-6, observe=["out"],
                                operating_point=op)
 
