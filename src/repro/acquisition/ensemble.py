@@ -79,8 +79,7 @@ class ConstrainedMACEObjectives:
         self.minimize = bool(minimize)
         self.beta = float(beta)
 
-    def _violation_terms(self, x) -> tuple[np.ndarray, np.ndarray]:
-        means, variances = self.constraint_model.predict(x)
+    def _violation_terms(self, means, variances) -> tuple[np.ndarray, np.ndarray]:
         means = np.atleast_2d(means)
         variances = np.atleast_2d(variances)
         # Signed "satisfaction margin" u_i: positive when the constraint is
@@ -105,7 +104,7 @@ class ConstrainedMACEObjectives:
         pi = probability_of_improvement(mean, variance, self.best, self.minimize)
         c_means, c_vars = self.constraint_model.predict(x)
         pf = probability_of_feasibility(c_means, c_vars, self.thresholds, self.senses)
-        satisfied, scaled = self._violation_terms(x)
+        satisfied, scaled = self._violation_terms(c_means, c_vars)
         return np.column_stack([
             -ucb,
             -np.log(np.maximum(ei, _LOG_FLOOR)),

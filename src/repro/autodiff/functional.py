@@ -23,16 +23,26 @@ def pairwise_sqdist(x1: Tensor, x2: Tensor) -> Tensor:
     """Pairwise squared Euclidean distances between rows of ``x1`` and ``x2``.
 
     Returns an ``(n, m)`` tensor where entry ``(i, j)`` is
-    ``||x1[i] - x2[j]||^2``.  The result is clipped at zero to guard against
-    tiny negative values from cancellation.
+    ``||x1[i] - x2[j]||^2``, computed as ``|x1[i]|^2 + |x2[j]|^2 - 2 x1[i].x2[j]``
+    and clipped at zero to guard against tiny negative values from
+    cancellation.  The result is a single graph node whose backward pass is
+    written out by hand; entries that were clipped pass no gradient.
     """
     x1 = as_tensor(x1)
     x2 = as_tensor(x2)
-    sq1 = (x1 * x1).sum(axis=1, keepdims=True)            # (n, 1)
-    sq2 = (x2 * x2).sum(axis=1, keepdims=True).transpose() # (1, m)
-    cross = x1 @ x2.transpose()                             # (n, m)
-    dist = sq1 + sq2 - cross * 2.0
-    return dist.clip_min(0.0)
+    a, b = x1.data, x2.data
+    sq1 = (a * a).sum(axis=1, keepdims=True)            # (n, 1)
+    sq2 = (b * b).sum(axis=1, keepdims=True).T          # (1, m)
+    dist = sq1 + sq2 - (a @ b.T) * 2.0                  # (n, m)
+
+    def backward(upstream: np.ndarray) -> None:
+        u = upstream * (dist >= 0.0)
+        if x1.requires_grad:
+            x1._accumulate((u.sum(axis=1, keepdims=True) * a - u @ b) * 2.0)
+        if x2.requires_grad:
+            x2._accumulate((u.sum(axis=0, keepdims=True).T * b - (a.T @ u).T) * 2.0)
+
+    return x1._make(np.maximum(dist, 0.0), (x1, x2), backward)
 
 
 def pairwise_l1dist(x1: Tensor, x2: Tensor) -> Tensor:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tensor, no_grad
 from repro.autodiff.functional import as_tensor
 from repro.errors import NotFittedError
 from repro.kernels import Kernel, RBFKernel
@@ -171,7 +171,8 @@ class GPRegression(Module):
         return history
 
     def _update_posterior_cache(self) -> None:
-        a_tensor = self._covariance_tensor()
+        with no_grad():
+            a_tensor = self._covariance_tensor()
         n = self.x_train_.shape[0]
         a_np = a_tensor.data + _JITTER * np.eye(n)
         jitter = _JITTER

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tensor, no_grad
 from repro.autodiff.functional import as_tensor
 from repro.nn.module import Module, Parameter
 
@@ -37,12 +37,14 @@ class Kernel(Module):
 
     def matrix(self, x1, x2=None) -> np.ndarray:
         """Evaluate the kernel as a plain numpy matrix (no gradient graph)."""
-        return self(x1, x2).data
+        with no_grad():
+            return self(x1, x2).data
 
     def diag(self, x) -> np.ndarray:
-        """Diagonal of ``k(x, x)`` as a numpy vector."""
+        """Diagonal of ``k(x, x)`` as a numpy vector (no gradient graph)."""
         x = as_tensor(x)
-        return np.diag(self(x, x).data).copy()
+        with no_grad():
+            return np.diag(self(x, x).data).copy()
 
     # ------------------------------------------------------------------ #
     # composition                                                         #

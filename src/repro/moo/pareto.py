@@ -18,56 +18,44 @@ def is_dominated(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(b <= a) and np.any(b < a))
 
 
-def pareto_front_mask(objectives) -> np.ndarray:
-    """Boolean mask of non-dominated rows of an ``(n, k)`` objective matrix."""
-    objectives = check_matrix(objectives, "objectives")
+def _dominance_matrix(objectives: np.ndarray) -> np.ndarray:
+    """``(n, n)`` boolean matrix whose entry ``(i, j)`` says row ``i`` dominates row ``j``."""
     n = objectives.shape[0]
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not mask[i]:
-            continue
-        dominated_by_i = np.all(objectives[i] <= objectives, axis=1) & np.any(
-            objectives[i] < objectives, axis=1)
-        dominated_by_i[i] = False
-        mask &= ~dominated_by_i
-        # Re-check i itself: if anything dominates i, clear it.
-        dominates_i = np.all(objectives <= objectives[i], axis=1) & np.any(
-            objectives < objectives[i], axis=1)
-        if np.any(dominates_i & mask):
-            mask[i] = False
-    return mask
+    no_worse = np.ones((n, n), dtype=bool)
+    better = np.zeros((n, n), dtype=bool)
+    for column in objectives.T:
+        no_worse &= column[:, None] <= column[None, :]
+        better |= column[:, None] < column[None, :]
+    return no_worse & better
+
+
+def pareto_front_mask(objectives) -> np.ndarray:
+    """Boolean mask of non-dominated rows of an ``(n, k)`` objective matrix.
+
+    Duplicate rows do not dominate each other, so every copy of a
+    non-dominated point stays in the front.
+    """
+    objectives = check_matrix(objectives, "objectives")
+    return ~_dominance_matrix(objectives).any(axis=0)
 
 
 def fast_non_dominated_sort(objectives) -> list[np.ndarray]:
     """Deb's fast non-dominated sorting.
 
-    Returns a list of index arrays; the first entry is the Pareto front,
-    subsequent entries are successive fronts after removing earlier ones.
+    Returns a list of ascending index arrays; the first entry is the Pareto
+    front, subsequent entries are successive fronts after removing earlier
+    ones.
     """
     objectives = check_matrix(objectives, "objectives")
-    n = objectives.shape[0]
-    dominated_sets: list[list[int]] = [[] for _ in range(n)]
-    domination_counts = np.zeros(n, dtype=int)
-
-    for i in range(n):
-        better = np.all(objectives[i] <= objectives, axis=1) & np.any(
-            objectives[i] < objectives, axis=1)
-        worse = np.all(objectives <= objectives[i], axis=1) & np.any(
-            objectives < objectives[i], axis=1)
-        dominated_sets[i] = list(np.nonzero(better)[0])
-        domination_counts[i] = int(np.count_nonzero(worse))
-
+    dominates = _dominance_matrix(objectives)
+    counts = dominates.sum(axis=0)
     fronts: list[np.ndarray] = []
-    current = np.nonzero(domination_counts == 0)[0]
+    current = np.nonzero(counts == 0)[0]
     while current.size:
         fronts.append(current)
-        counts = domination_counts.copy()
-        for index in current:
-            for dominated in dominated_sets[index]:
-                counts[dominated] -= 1
-            counts[index] = -1  # mark as assigned
-        domination_counts = counts
-        current = np.nonzero(domination_counts == 0)[0]
+        counts -= dominates[current].sum(axis=0)
+        counts[current] = -1  # mark as assigned
+        current = np.nonzero(counts == 0)[0]
     return fronts
 
 

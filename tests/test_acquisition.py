@@ -33,6 +33,18 @@ class _FakeModel:
         return (np.resize(self.mean, n), np.resize(self.variance, n))
 
 
+class _CountingModel:
+    """Wraps a surrogate and counts its ``predict`` calls."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = 0
+
+    def predict(self, x):
+        self.calls += 1
+        return self.model.predict(x)
+
+
 class TestExpectedImprovement:
     def test_positive_when_mean_above_best(self):
         assert expected_improvement(1.0, 0.01, best=0.0) > 0.9
@@ -160,6 +172,34 @@ class TestEnsembles:
         values = ensemble(rng.uniform(size=(9, 2)))
         assert values.shape == (9, 6)
         assert ensemble.n_objectives == 6
+
+    def test_constrained_ensemble_predicts_constraints_once(self, rng):
+        objective_gp, constraint_gp = self._models(rng)
+        counting = _CountingModel(constraint_gp)
+        thresholds, senses = [1.5, 1.0], ["ge", "le"]
+        ensemble = ConstrainedMACEObjectives(objective_gp, counting, best=1.0,
+                                             thresholds=thresholds, senses=senses,
+                                             minimize=True)
+        x = rng.uniform(size=(9, 2))
+        values = ensemble(x)
+        assert counting.calls == 1
+
+        # The same matrix built from independent predictions.
+        mean, variance = objective_gp.predict(x)
+        c_means, c_vars = constraint_gp.predict(x)
+        margins = np.column_stack([c_means[:, 0] - thresholds[0],
+                                   thresholds[1] - c_means[:, 1]])
+        positive = np.maximum(0.0, margins)
+        expected = np.column_stack([
+            -upper_confidence_bound(mean, variance, 2.0, True),
+            -np.log(np.maximum(expected_improvement(mean, variance, 1.0, True), 1e-40)),
+            -np.log(np.maximum(probability_of_improvement(mean, variance, 1.0, True),
+                               1e-40)),
+            -probability_of_feasibility(c_means, c_vars, thresholds, senses),
+            -np.sum(positive, axis=1),
+            -np.sum(positive / np.sqrt(np.maximum(c_vars, 1e-12)), axis=1),
+        ])
+        assert np.array_equal(values, expected)
 
     def test_modified_ensemble_three_objectives(self, rng):
         objective_gp, constraint_gp = self._models(rng)

@@ -14,6 +14,8 @@ from repro.autodiff.functional import (
     quadratic_form,
     stack,
 )
+from repro.gp import GPRegression
+from repro.kernels import RBFKernel, stationary
 
 
 def numeric_gradient(func, x, eps=1e-6):
@@ -32,6 +34,17 @@ def check_gradient(build_loss, x0, tolerance=1e-5):
     build_loss(tensor).backward()
     numeric = numeric_gradient(lambda x: float(build_loss(Tensor(x)).data), x0)
     assert np.max(np.abs(tensor.grad - numeric)) < tolerance
+
+
+def _reference_pairwise_sqdist(x1, x2):
+    """Frozen copy of the original tape-chain ``pairwise_sqdist`` (11 graph nodes)."""
+    x1 = as_tensor(x1)
+    x2 = as_tensor(x2)
+    sq1 = (x1 * x1).sum(axis=1, keepdims=True)
+    sq2 = (x2 * x2).sum(axis=1, keepdims=True).transpose()
+    cross = x1 @ x2.transpose()
+    dist = sq1 + sq2 - cross * 2.0
+    return dist.clip_min(0.0)
 
 
 class TestBasicOps:
@@ -197,6 +210,64 @@ class TestFunctional:
     def test_pairwise_sqdist_nonnegative(self, rng):
         a = rng.normal(size=(6, 2))
         assert np.all(pairwise_sqdist(Tensor(a), Tensor(a)).data >= 0.0)
+
+    def test_pairwise_sqdist_gradient_x2(self, rng):
+        a = rng.normal(size=(4, 2))
+        b = rng.normal(size=(3, 2))
+        weights = rng.normal(size=(4, 3))
+        check_gradient(lambda t: (pairwise_sqdist(Tensor(a), t) * weights).sum(), b)
+
+    def test_pairwise_sqdist_self_distance_gradient(self, rng):
+        # x1 and x2 are the same tensor, so both gradients land in one .grad.
+        a = rng.normal(size=(5, 3))
+        weights = rng.normal(size=(5, 5))
+        check_gradient(lambda t: (pairwise_sqdist(t, t) * weights).sum(), a)
+
+    @pytest.mark.parametrize("leaf_inputs", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 3, 2), (12, 9, 5), (40, 40, 6)])
+    def test_pairwise_sqdist_bitwise_matches_tape_chain(self, shape, leaf_inputs):
+        n, m, d = shape
+        rng = np.random.default_rng(n * 100 + m)
+        a_np = rng.normal(size=(n, d))
+        # Near-copies of rows of ``a`` make some distances cancel below zero,
+        # so the clip and its gradient mask are exercised too.
+        b_np = a_np[:m] + 1e-9 * rng.normal(size=(m, d))
+        upstream = rng.normal(size=(n, m))
+        results = []
+        for op in (pairwise_sqdist, _reference_pairwise_sqdist):
+            a = Tensor(a_np, requires_grad=True)
+            b = Tensor(b_np, requires_grad=True)
+            # The kernels pass non-leaf inputs (rows divided by lengthscales).
+            out = op(a, b) if leaf_inputs else op(a * 1.0, b * 1.0)
+            out.backward(upstream)
+            results.append((out.data, a.grad, b.grad))
+        (value, grad_a, grad_b), (ref_value, ref_a, ref_b) = results
+        assert np.any(value == 0.0)
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(grad_a, ref_a)
+        assert np.array_equal(grad_b, ref_b)
+
+    @staticmethod
+    def _fitted_rbf_parameters():
+        rng = np.random.default_rng(2024)
+        x = rng.uniform(size=(30, 3))
+        y = np.sin(3.0 * x[:, 0]) + x[:, 1] * x[:, 2]
+        gp = GPRegression(RBFKernel(3)).fit(x, y, n_iters=40)
+        return [parameter.data.copy() for parameter in gp.parameters()]
+
+    def test_rbf_gp_fit_is_bitwise_reproducible(self):
+        first = self._fitted_rbf_parameters()
+        second = self._fitted_rbf_parameters()
+        assert len(first) == len(second) == 3
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
+    def test_rbf_gp_fit_matches_tape_chain_bitwise(self, monkeypatch):
+        fused = self._fitted_rbf_parameters()
+        monkeypatch.setattr(stationary, "pairwise_sqdist", _reference_pairwise_sqdist)
+        chained = self._fitted_rbf_parameters()
+        for a, b in zip(fused, chained):
+            assert np.array_equal(a, b)
 
     def test_pairwise_l1dist(self, rng):
         a = rng.normal(size=(3, 2))

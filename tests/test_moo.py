@@ -171,3 +171,85 @@ class TestParetoProperties:
             for j in range(front.shape[0]):
                 if i != j:
                     assert not is_dominated(front[i], front[j])
+
+
+def _reference_pareto_front_mask(objectives):
+    """Frozen copy of the original per-row loop behind ``pareto_front_mask``."""
+    objectives = np.asarray(objectives, dtype=float)
+    n = objectives.shape[0]
+    mask = np.ones(n, dtype=bool)
+    for i in range(n):
+        if not mask[i]:
+            continue
+        dominated_by_i = np.all(objectives[i] <= objectives, axis=1) & np.any(
+            objectives[i] < objectives, axis=1)
+        dominated_by_i[i] = False
+        mask &= ~dominated_by_i
+        dominates_i = np.all(objectives <= objectives[i], axis=1) & np.any(
+            objectives < objectives[i], axis=1)
+        if np.any(dominates_i & mask):
+            mask[i] = False
+    return mask
+
+
+def _reference_fast_non_dominated_sort(objectives):
+    """Frozen copy of the original per-row loop behind ``fast_non_dominated_sort``."""
+    objectives = np.asarray(objectives, dtype=float)
+    n = objectives.shape[0]
+    dominated_sets = [[] for _ in range(n)]
+    domination_counts = np.zeros(n, dtype=int)
+    for i in range(n):
+        better = np.all(objectives[i] <= objectives, axis=1) & np.any(
+            objectives[i] < objectives, axis=1)
+        worse = np.all(objectives <= objectives[i], axis=1) & np.any(
+            objectives < objectives[i], axis=1)
+        dominated_sets[i] = list(np.nonzero(better)[0])
+        domination_counts[i] = int(np.count_nonzero(worse))
+    fronts = []
+    current = np.nonzero(domination_counts == 0)[0]
+    while current.size:
+        fronts.append(current)
+        counts = domination_counts.copy()
+        for index in current:
+            for dominated in dominated_sets[index]:
+                counts[dominated] -= 1
+            counts[index] = -1
+        domination_counts = counts
+        current = np.nonzero(domination_counts == 0)[0]
+    return fronts
+
+
+class TestSortMatchesReference:
+    """The vectorised sort and mask reproduce the original loops exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 130), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           levels=st.sampled_from([0, 2, 5]), n_duplicates=st.integers(0, 10),
+           n_huge=st.integers(0, 10))
+    def test_fronts_and_mask_match_reference(self, n, k, seed, levels, n_duplicates,
+                                             n_huge):
+        rng = np.random.default_rng(seed)
+        # ``levels`` > 0 draws from a small integer grid, so ties are common.
+        if levels:
+            objectives = rng.integers(0, levels, size=(n, k)).astype(float)
+        else:
+            objectives = rng.normal(size=(n, k))
+        for _ in range(n_duplicates):
+            objectives[rng.integers(n)] = objectives[rng.integers(n)]
+        for _ in range(n_huge):
+            objectives[rng.integers(n)] = 1e18
+
+        fronts = fast_non_dominated_sort(objectives)
+        expected = _reference_fast_non_dominated_sort(objectives)
+        assert len(fronts) == len(expected)
+        for front, reference in zip(fronts, expected):
+            assert front.dtype == reference.dtype
+            assert np.array_equal(front, reference)
+        assert np.array_equal(pareto_front_mask(objectives),
+                              _reference_pareto_front_mask(objectives))
+
+    def test_duplicate_rows_stay_non_dominated(self):
+        objectives = np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0], [3.0, 3.0], [3.0, 3.0]])
+        assert pareto_front_mask(objectives).tolist() == [True, True, True, False, False]
+        fronts = fast_non_dominated_sort(objectives)
+        assert [front.tolist() for front in fronts] == [[0, 1, 2], [3, 4]]
