@@ -8,8 +8,12 @@ the full, paper-scale budgets (hours).
 
 from __future__ import annotations
 
+import functools
+import importlib.metadata
 import json
 import os
+import platform
+import subprocess
 
 import pytest
 
@@ -42,14 +46,42 @@ def record_report(text: str) -> None:
     _REPORTS.append(text)
 
 
+@functools.lru_cache(maxsize=None)
+def provenance() -> dict:
+    """Where a BENCH record was measured: commit, host and library versions.
+
+    ``git_sha`` is ``None`` outside a git checkout, and a library version is
+    ``None`` when the package is not installed.
+    """
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            check=True).stdout.strip() or None
+    except (OSError, subprocess.CalledProcessError):
+        sha = None
+
+    def version(package: str) -> str | None:
+        try:
+            return importlib.metadata.version(package)
+        except importlib.metadata.PackageNotFoundError:
+            return None
+
+    return {"git_sha": sha, "cpu_count": os.cpu_count(),
+            "python": platform.python_version(), "numpy": version("numpy"),
+            "scipy": version("scipy")}
+
+
 def record_bench(name: str, record: dict) -> None:
     """Emit one machine-readable ``NAME {json}`` line for CI regression tracking.
 
+    Every record carries a ``provenance`` entry (see :func:`provenance`).
     The line goes to stdout (greppable in the pytest log); when
     ``KATO_BENCH_RECORDS`` names a file, to that JSONL file as well so the
     records survive as a workflow artifact; and always to
     ``BENCH_<name>.json`` under ``KATO_BENCH_DIR`` for ``db ingest-bench``.
     """
+    record = {**record, "provenance": provenance()}
     print()
     print(f"{name} " + json.dumps(record, sort_keys=True))
     if BENCH_RECORDS_PATH:

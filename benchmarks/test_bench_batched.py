@@ -1,7 +1,7 @@
 """Batched-tensor simulation core throughput (BENCH_BATCHED[_TRAN]).
 
-Measures the stacked DC Newton, stacked AC and batched transient solves
-against their serial per-design counterparts at batch sizes 1, 8 and 64 on
+Measures the stacked DC Newton and batched transient solves against their
+serial per-design counterparts at batch sizes 1, 8 and 64 on
 the two-stage opamp (a Monte Carlo style workload: mismatch variations of
 one good design).  Bit-identity of every batched result against its
 serial twin is asserted inline -- a throughput number for a solver that
@@ -10,7 +10,6 @@ drifts would be meaningless.
 Emits one BENCH_BATCHED JSON record::
 
     BENCH_BATCHED {"dc": {"1": {...}, "8": {...}, "64": {...}},
-                   "ac": {...},
                    "speedup_dc_b64": 6.9, ...}
 
 plus one BENCH_BATCHED_TRAN record for the settling-style transient
@@ -22,6 +21,7 @@ workload::
 The nightly lane tracks ``speedup_dc_b64`` (acceptance floor: >= 4x single
 core at B=64) and ``speedup_tran_b64`` (floor: >= 2x at B=64 -- the
 transient batch carries per-design controller work the DC batch does not).
+Batched AC is a per-design loop of the serial sweep, so it has no record.
 """
 
 import time
@@ -34,8 +34,6 @@ from repro.circuits import make_problem
 from repro.errors import ConvergenceError
 from repro.mc.samplers import make_sampler
 from repro.spice import (
-    ac_analysis,
-    ac_analysis_batch,
     dc_operating_point,
     dc_operating_point_batch,
     transient_analysis,
@@ -71,7 +69,7 @@ def _mc_problems(count: int):
 
 @pytest.mark.slow
 def test_batched_throughput(benchmark):
-    problem, varied = _mc_problems(max(BATCH_SIZES))
+    _, varied = _mc_problems(max(BATCH_SIZES))
     builder_key = "main"
 
     def circuits(count):
@@ -79,7 +77,7 @@ def test_batched_throughput(benchmark):
                 for p in varied[:count]]
 
     record: dict = {"workload": "two_stage_opamp mismatch MC",
-                    "repeats": REPEATS, "dc": {}, "ac": {}}
+                    "repeats": REPEATS, "dc": {}}
 
     # -- DC: serial loop vs stacked Newton, with inline bit-identity ----- #
     serial_ops = [dc_operating_point(c) for c in circuits(max(BATCH_SIZES))]
@@ -104,39 +102,6 @@ def test_batched_throughput(benchmark):
             "designs_per_s": round(size / t_batched, 1),
         }
 
-    # -- AC: per-design loop vs (B, F, N, N) stacked solve --------------- #
-    frequencies = problem.ac_frequencies
-    ac_circuits = circuits(max(BATCH_SIZES))
-    converged = [(circuit, op) for circuit, op in zip(ac_circuits, serial_ops)
-                 if op.converged]
-    ac_batched = ac_analysis_batch([c for c, _ in converged],
-                                   [op for _, op in converged],
-                                   frequencies, observe=["out"])
-    for (circuit, op), res_batched in zip(converged, ac_batched):
-        res_serial = ac_analysis(circuit, op, frequencies, observe=["out"])
-        assert np.array_equal(res_serial.node_voltages["out"],
-                              res_batched.node_voltages["out"])
-    for size in BATCH_SIZES:
-        # Mismatch sampling leaves a few non-convergent designs; clamp the
-        # largest AC batch to what actually converged.
-        subset = converged[:min(size, len(converged))]
-        if len(subset) < min(size, len(converged)) or not subset:
-            continue
-        size = len(subset)
-        t_serial = _best_of(
-            lambda subset=subset: [ac_analysis(c, op, frequencies,
-                                               observe=["out"])
-                                   for c, op in subset], REPEATS)
-        t_batched = _best_of(
-            lambda subset=subset: ac_analysis_batch(
-                [c for c, _ in subset], [op for _, op in subset],
-                frequencies, observe=["out"]), REPEATS)
-        record["ac"][str(size)] = {
-            "serial_s": round(t_serial, 4),
-            "batched_s": round(t_batched, 4),
-            "speedup": round(t_serial / t_batched, 2),
-        }
-
     speedup_b64 = record["dc"]["64"]["speedup"]
     record["speedup_dc_b64"] = speedup_b64
     # Acceptance floor with headroom below the ~7x measured on an idle
@@ -147,9 +112,8 @@ def test_batched_throughput(benchmark):
     record_bench("BENCH_BATCHED", record)
     lines = ["batched-core throughput (serial time / batched time)",
              "analysis | batch size | speedup"]
-    for analysis in ("dc", "ac"):
-        for size, row in sorted(record[analysis].items(), key=lambda kv: int(kv[0])):
-            lines.append(f"{analysis:>8} | {size:>10} | {row['speedup']:>6}x")
+    for size, row in sorted(record["dc"].items(), key=lambda kv: int(kv[0])):
+        lines.append(f"      dc | {size:>10} | {row['speedup']:>6}x")
     record_report("\n".join(lines))
 
     benchmark.pedantic(lambda: dc_operating_point_batch(circuits(64)),

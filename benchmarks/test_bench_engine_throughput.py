@@ -20,6 +20,7 @@ import numpy as np
 from repro.circuits import TwoStageOpAmp
 from repro.engine import EvaluationEngine, resolve_backend
 from repro.spice import ac_analysis, dc_operating_point
+from repro.spice.ac import _ac_analysis_per_frequency
 
 from conftest import budget, record_bench, record_report
 
@@ -55,11 +56,17 @@ def _measure_ac_speedup(problem: TwoStageOpAmp, x: np.ndarray,
     else:  # pragma: no cover - the fixed seed always converges somewhere
         raise RuntimeError("no converged design in the benchmark batch")
     frequencies = problem.ac_frequencies
+    sweeps = {
+        "vectorized": lambda: ac_analysis(circuit, op, frequencies,
+                                          observe=["out"]),
+        "per_frequency": lambda: _ac_analysis_per_frequency(
+            circuit, op, frequencies, ["out"]),
+    }
     timings = {}
-    for method in ("vectorized", "per_frequency"):
+    for method, sweep in sweeps.items():
         start = time.perf_counter()
         for _ in range(repeats):
-            ac_analysis(circuit, op, frequencies, observe=["out"], method=method)
+            sweep()
         timings[method] = (time.perf_counter() - start) / repeats
     return {"vectorized_sec": timings["vectorized"],
             "per_frequency_sec": timings["per_frequency"],

@@ -2,9 +2,10 @@
 
 Not a paper figure: this benchmark guards the noise subsystem.  It measures
 
-* the stacked-adjoint speedup: ``noise_analysis(method="vectorized")``
-  (one ``(F, N, N)`` transposed solve) against the per-frequency reference
-  loop on a registry op-amp bias, at the bench's default grid density, and
+* the stacked-adjoint speedup: ``noise_analysis`` (one ``(F, N, N)``
+  transposed solve) against the same analysis through the per-frequency
+  fallback loop on a registry op-amp bias, at the bench's default grid
+  density, and
 * the end-to-end evaluation cost of the scenario-expansion circuit
   families (``ldo``, ``comparator``, ``ring_vco``) whose benches exercise
   noise, transient and mixed analyses,
@@ -21,6 +22,11 @@ import numpy as np
 
 from repro.circuits import make_problem
 from repro.spice import dc_operating_point, noise_analysis
+from repro.spice.noise import (
+    _adjoint_per_frequency,
+    _assemble_result,
+    _gather_sources,
+)
 
 from conftest import budget, record_bench, record_report
 
@@ -32,6 +38,14 @@ GOOD_LDO = dict(w_pass=100e-6, l_pass=0.5e-6, gm_ea=3e-3, r_ea=3e5,
 GOOD_COMPARATOR = dict(w_in=10e-6, l_in=0.18e-6, w_latch_n=4e-6,
                        w_latch_p=8e-6, w_tail=10e-6)
 GOOD_RING = dict(w_n=5e-6, w_p=10e-6, l_gate=0.18e-6, c_stage=1e-12)
+
+
+def _per_frequency_noise(circuit, op, frequencies, output="out"):
+    """``noise_analysis`` through the per-frequency fallback loop."""
+    adjoints, rhs = _adjoint_per_frequency(circuit, op, frequencies,
+                                           circuit.node_index(output))
+    return _assemble_result(frequencies, output, _gather_sources(circuit, op),
+                            adjoints, rhs)
 
 
 def _median_seconds(fn, repeats: int) -> float:
@@ -52,18 +66,15 @@ def test_bench_noise():
     op = dc_operating_point(circuit)
     assert op.converged
     frequencies = np.logspace(0, 9, 181)  # 20 points/decade
-    vectorized = noise_analysis(circuit, op, frequencies, output="out",
-                                method="vectorized")
-    reference = noise_analysis(circuit, op, frequencies, output="out",
-                               method="per_frequency")
+    vectorized = noise_analysis(circuit, op, frequencies, output="out")
+    reference = _per_frequency_noise(circuit, op, frequencies)
     np.testing.assert_allclose(vectorized.output_psd, reference.output_psd,
                                rtol=1e-9)
     fast_s = _median_seconds(
-        lambda: noise_analysis(circuit, op, frequencies, output="out",
-                               method="vectorized"), repeats)
+        lambda: noise_analysis(circuit, op, frequencies, output="out"),
+        repeats)
     slow_s = _median_seconds(
-        lambda: noise_analysis(circuit, op, frequencies, output="out",
-                               method="per_frequency"), repeats)
+        lambda: _per_frequency_noise(circuit, op, frequencies), repeats)
     adjoint_speedup = slow_s / fast_s if fast_s > 0 else float("inf")
 
     # -- per-family evaluation cost -------------------------------------- #

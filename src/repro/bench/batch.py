@@ -9,19 +9,20 @@ expensive solves across jobs:
   :func:`repro.spice.dc.dc_operating_point_batch` call over the jobs that
   still need it (per-job corner temperatures ride along as the batch's
   ``(B,)`` temperature vector);
-* AC analyses become one :func:`repro.spice.ac.ac_analysis_batch` stacked
-  solve;
+* AC analyses go through :func:`repro.spice.ac.ac_analysis_batch`, a
+  per-job loop of the serial sweep (whose stacked solve already covers the
+  frequency axis);
 * transient analyses become one
   :func:`repro.spice.transient.transient_analysis_batch` run -- every job
-  keeps its own serial adaptive-timestep controller while the per-step
+  keeps its own adaptive-timestep controller state while the per-step
   Newton solves batch across all in-flight jobs;
 * sweeps (data-dependent stepping over scalar parameters) run per job with
   the exact serial code.
 
 Everything else -- operating-point memoisation keys, failure messages,
 check/measure evaluation, stats counters -- mirrors
-:class:`repro.bench.simulator.Simulator` per job, and the batched solvers
-are bit-identical to their serial counterparts, so each job's
+:class:`repro.bench.simulator.Simulator` per job, and the DC and transient
+solvers run the same controller at any batch size, so each job's
 :class:`~repro.bench.testbench.SimResult` matches a serial
 ``Simulator().run(bench, design)`` exactly.
 
@@ -34,6 +35,7 @@ handling (see :func:`repro.circuits.base.simulate_checked_batch`).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +57,11 @@ from repro.spice.ac import ac_analysis, ac_analysis_batch
 from repro.spice.dc import dc_operating_point, dc_operating_point_batch
 from repro.spice.noise import noise_analysis
 from repro.spice.sweep import dc_sweep, temperature_sweep
-from repro.spice.transient import transient_analysis, transient_analysis_batch
+from repro.spice.transient import (
+    _sources_at_t0,
+    transient_analysis,
+    transient_analysis_batch,
+)
 
 __test__ = False
 
@@ -240,17 +246,9 @@ class BatchSimulator:
 
         circuits = [entry[3] for entry in to_solve]
         temperatures = np.array([entry[4] for entry in to_solve], dtype=float)
-        overridden = []
-        if transient:
-            # Mirror transient_operating_point: hold every waveform source
-            # at its t = 0 value for the initial-condition solve.
-            for circuit in circuits:
-                for device in circuit.devices:
-                    waveform = getattr(device, "waveform", None)
-                    if waveform is not None:
-                        overridden.append((device, device.dc))
-                        device.dc = waveform.value_at(0.0)
-        try:
+        # Mirror transient_operating_point: hold every waveform source at
+        # its t = 0 value for the initial-condition solve.
+        with _sources_at_t0(circuits) if transient else nullcontext():
             try:
                 ops = dc_operating_point_batch(circuits,
                                                temperature=temperatures)
@@ -271,9 +269,6 @@ class BatchSimulator:
                     if job.error is None:
                         job.error = error
                 ops = [None] * len(to_solve)
-        finally:
-            for device, dc in overridden:
-                device.dc = dc
         for (slot, job, key, _, _), op in zip(to_solve, ops):
             if op is None:
                 continue
@@ -345,8 +340,8 @@ class BatchSimulator:
                 reference_spec.frequencies,
                 observe=list(reference_spec.observe))
         except Exception:
-            # Heterogeneous topologies (or a stacked-path surprise): run the
-            # serial analysis per job, capturing failures individually.
+            # One job's sweep raised: rerun per job, capturing failures
+            # individually.
             analyses = []
             for job, spec, circuit, op in ready:
                 try:
@@ -432,8 +427,8 @@ class BatchSimulator:
             return
         for (job, spec, _, _), outcome in zip(ready, outcomes):
             if isinstance(outcome, ConvergenceError):
-                # The serial driver turns controller give-ups into job
-                # failures; other exceptions are unmodelled errors.
+                # Controller give-ups are job failures, as in the serial
+                # Simulator; other exceptions are unmodelled errors.
                 job.failure = f"{spec.name}: {outcome}"
             elif isinstance(outcome, Exception):
                 job.error = _job_error(outcome)

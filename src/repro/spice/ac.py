@@ -150,8 +150,7 @@ _AC_GMIN = 1e-15
 
 def ac_analysis(circuit: Circuit, operating_point: OperatingPoint,
                 frequencies: np.ndarray | None = None,
-                observe: list[str] | None = None,
-                method: str = "auto") -> ACResult:
+                observe: list[str] | None = None) -> ACResult:
     """Complex small-signal sweep of ``circuit`` around ``operating_point``.
 
     Parameters
@@ -160,58 +159,46 @@ def ac_analysis(circuit: Circuit, operating_point: OperatingPoint,
         Frequencies in hertz; defaults to 1 Hz .. 1 GHz, 20 points/decade.
     observe:
         Node names to record; defaults to every non-ground node.
-    method:
-        ``"auto"`` (default) uses the vectorized path whenever every device
-        declares affine AC stamps, falling back to the per-frequency loop
-        when a device is non-affine or a frequency point is singular;
-        ``"vectorized"`` forces the stacked solve (raising ``ValueError``
-        for declared non-affine devices and propagating ``LinAlgError`` on
-        singular systems or stamps that fail the affinity probe, instead of
-        silently switching paths); ``"per_frequency"`` forces the simple
-        reference loop.
 
     Notes
     -----
-    The vectorized path exploits the fact that every built-in device stamp is
-    affine in the angular frequency, ``A(omega) = G + omega * S`` with
-    ``S = 1j * C``, and the excitation vector is frequency-independent.  The
-    system is therefore assembled exactly twice (at ``omega = 0`` and
-    ``omega = 1``) and all frequency points are solved as one stacked
-    ``(F, N, N)`` :func:`numpy.linalg.solve` call, which removes the Python
-    stamping loop and lets LAPACK batch the factorizations.
+    Every built-in device stamp is affine in the angular frequency,
+    ``A(omega) = G + omega * S`` with ``S = 1j * C``, and the excitation
+    vector is frequency-independent.  The system is therefore assembled
+    exactly twice (at ``omega = 0`` and ``omega = 1``) and all frequency
+    points are solved as one stacked ``(F, N, N)`` :func:`numpy.linalg.solve`
+    call, which removes the Python stamping loop and lets LAPACK batch the
+    factorizations.  A circuit with a device that declares non-affine
+    stamps, fails the affinity probe, or is singular at some frequency is
+    swept one frequency at a time instead (least squares on singular
+    points).
     """
-    if method not in ("auto", "vectorized", "per_frequency"):
-        raise ValueError(f"unknown AC method {method!r}")
     if frequencies is None:
         frequencies = logspace_frequencies()
     frequencies = np.asarray(frequencies, dtype=float)
     circuit.ensure_indices()
     observed = list(observe) if observe is not None else circuit.nodes
 
-    affine = all(device.ac_affine for device in circuit.devices)
-    if method == "vectorized":
-        if not affine:
-            non_affine = [d.name for d in circuit.devices if not d.ac_affine]
-            raise ValueError("method='vectorized' requires affine AC stamps; "
-                             f"non-affine devices: {non_affine}")
-        return _ac_analysis_vectorized(circuit, operating_point,
-                                       frequencies, observed)
-    if method == "auto" and affine:
+    if all(device.ac_affine for device in circuit.devices):
         try:
             return _ac_analysis_vectorized(circuit, operating_point,
                                            frequencies, observed)
         except np.linalg.LinAlgError:
-            # One or more frequency points are singular; the reference loop
-            # below handles those individually via least squares.
+            # One or more frequency points are singular (or the stamps are
+            # not affine after all); the per-frequency loop below handles
+            # those individually.
             pass
     return _ac_analysis_per_frequency(circuit, operating_point,
                                       frequencies, observed)
 
 
-def _ac_analysis_vectorized(circuit: Circuit, operating_point: OperatingPoint,
-                            frequencies: np.ndarray,
-                            observed: list[str]) -> ACResult:
-    """Solve all frequency points with one stacked ``numpy.linalg.solve``."""
+def _affine_systems(circuit: Circuit, operating_point: OperatingPoint,
+                    frequencies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(F, N, N)`` AC systems from two stamps, plus the excitation.
+
+    Raises :class:`numpy.linalg.LinAlgError` when the excitation depends on
+    frequency or the stamps fail the affinity probe.
+    """
     base = circuit.stamp_ac(0.0, operating_point)
     unit = circuit.stamp_ac(1.0, operating_point)
     if not np.array_equal(base.rhs, unit.rhs):
@@ -232,9 +219,17 @@ def _ac_analysis_vectorized(circuit: Circuit, operating_point: OperatingPoint,
     systems = base.matrix[None, :, :] + omegas[:, None, None] * slope[None, :, :]
     diagonal = np.arange(circuit.n_nodes)
     systems[:, diagonal, diagonal] += _AC_GMIN
+    return systems, base.rhs
+
+
+def _ac_analysis_vectorized(circuit: Circuit, operating_point: OperatingPoint,
+                            frequencies: np.ndarray,
+                            observed: list[str]) -> ACResult:
+    """Solve all frequency points with one stacked ``numpy.linalg.solve``."""
+    systems, rhs = _affine_systems(circuit, operating_point, frequencies)
     # Shape the right-hand side as a (1, N, 1) matrix stack so the solve
     # broadcasts unambiguously across the frequency axis.
-    solutions = np.linalg.solve(systems, base.rhs[None, :, None])[..., 0]
+    solutions = np.linalg.solve(systems, rhs[None, :, None])[..., 0]
     responses: dict[str, np.ndarray] = {}
     for node in observed:
         index = circuit.node_index(node)
@@ -245,111 +240,31 @@ def _ac_analysis_vectorized(circuit: Circuit, operating_point: OperatingPoint,
     return ACResult(frequencies=frequencies, node_voltages=responses)
 
 
-#: Memory budget (bytes) for one stacked ``(b, F, N, N)`` complex tensor in
-#: the batched AC path; larger batches are solved in chunks.
-_AC_BATCH_BYTES = 3.2e8
-
-
 def ac_analysis_batch(circuits, operating_points,
                       frequencies: np.ndarray | None = None,
-                      observe: list[str] | None = None,
-                      method: str = "auto") -> list[ACResult]:
-    """AC sweeps of ``B`` topology-identical circuits as stacked solves.
+                      observe: list[str] | None = None) -> list[ACResult]:
+    """AC sweeps of ``B`` circuits: :func:`ac_analysis` per design.
 
-    Extends the vectorized affine path to a ``(B, F, N, N)`` tensor: each
-    design's ``G``/``S`` matrices are assembled (and affinity-probed) exactly
-    as in :func:`ac_analysis`, the stack is solved in one LAPACK call (in
-    memory-bounded chunks along the design axis), and each design's slice is
-    bit-identical to its serial solve.  Designs that fail the affinity probe
-    or hit a singular frequency point fall back to serial
-    :func:`ac_analysis` individually; ``method="vectorized"`` /
-    ``"per_frequency"`` simply loop the serial path per design.
+    The stacked ``(F, N, N)`` solve inside :func:`ac_analysis` already
+    vectorises each sweep; stacking designs on top of it was measured no
+    faster, so the batch entry point is a plain loop.
     """
     circuits = list(circuits)
     operating_points = list(operating_points)
     if len(circuits) != len(operating_points):
         raise ValueError("need one operating point per circuit")
-    if not circuits:
-        return []
-    if method not in ("auto", "vectorized", "per_frequency"):
-        raise ValueError(f"unknown AC method {method!r}")
-    if frequencies is None:
-        frequencies = logspace_frequencies()
-    frequencies = np.asarray(frequencies, dtype=float)
-    if method != "auto":
-        return [ac_analysis(circuit, op, frequencies, observe, method)
-                for circuit, op in zip(circuits, operating_points)]
-
-    results: list[ACResult | None] = [None] * len(circuits)
-    serial_designs: list[int] = []
-    prepared: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-    for b, (circuit, op) in enumerate(zip(circuits, operating_points)):
-        circuit.ensure_indices()
-        if not all(device.ac_affine for device in circuit.devices):
-            serial_designs.append(b)
-            continue
-        base = circuit.stamp_ac(0.0, op)
-        unit = circuit.stamp_ac(1.0, op)
-        if not np.array_equal(base.rhs, unit.rhs):
-            serial_designs.append(b)
-            continue
-        slope = unit.matrix - base.matrix
-        probe = circuit.stamp_ac(2.0, op)
-        expected = base.matrix + 2.0 * slope
-        if not (np.allclose(probe.matrix, expected, rtol=1e-8, atol=1e-30)
-                and np.array_equal(probe.rhs, base.rhs)):
-            serial_designs.append(b)
-            continue
-        prepared.append((b, base.matrix, slope, base.rhs))
-
-    first = circuits[0]
-    observed = list(observe) if observe is not None else first.nodes
-    omegas = 2.0 * np.pi * frequencies
-    size = first.n_nodes + first.n_branches
-    diagonal = np.arange(first.n_nodes)
-    bytes_per_design = max(frequencies.shape[0] * size * size * 16, 1)
-    chunk = max(1, int(_AC_BATCH_BYTES // bytes_per_design))
-    for offset in range(0, len(prepared), chunk):
-        group = prepared[offset:offset + chunk]
-        bases = np.stack([entry[1] for entry in group])
-        slopes = np.stack([entry[2] for entry in group])
-        rhs = np.stack([entry[3] for entry in group])
-        systems = (bases[:, None, :, :]
-                   + omegas[None, :, None, None] * slopes[:, None, :, :])
-        systems[:, :, diagonal, diagonal] += _AC_GMIN
-        stacked_rhs = np.broadcast_to(
-            rhs[:, None, :, None],
-            (len(group), frequencies.shape[0], size, 1))
-        try:
-            solutions = np.linalg.solve(systems, stacked_rhs)[..., 0]
-        except np.linalg.LinAlgError:
-            # At least one design has a singular frequency point; let the
-            # serial driver sort each of them out (it falls back to the
-            # per-frequency least-squares loop design by design).
-            serial_designs.extend(entry[0] for entry in group)
-            continue
-        for j, (b, *_rest) in enumerate(group):
-            circuit = circuits[b]
-            responses: dict[str, np.ndarray] = {}
-            for node in observed:
-                index = circuit.node_index(node)
-                if index < 0:
-                    responses[node] = np.zeros(frequencies.shape[0],
-                                               dtype=complex)
-                else:
-                    responses[node] = solutions[j, :, index].copy()
-            results[b] = ACResult(frequencies=frequencies,
-                                  node_voltages=responses)
-    for b in serial_designs:
-        results[b] = ac_analysis(circuits[b], operating_points[b],
-                                 frequencies, observe, method="auto")
-    return results
+    return [ac_analysis(circuit, op, frequencies, observe)
+            for circuit, op in zip(circuits, operating_points)]
 
 
 def _ac_analysis_per_frequency(circuit: Circuit, operating_point: OperatingPoint,
                                frequencies: np.ndarray,
                                observed: list[str]) -> ACResult:
-    """Reference implementation: assemble and solve one system per frequency."""
+    """Assemble and solve one system per frequency.
+
+    The fallback for circuits the stacked solve cannot take: non-affine
+    stamps or singular frequency points (solved by least squares).
+    """
     responses = {node: np.empty(frequencies.shape[0], dtype=complex) for node in observed}
     for index, frequency in enumerate(frequencies):
         omega = 2.0 * np.pi * frequency

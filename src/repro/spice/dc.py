@@ -1,18 +1,24 @@
 """Newton-Raphson DC operating-point analysis with gmin stepping.
 
-Two drivers share one model of the iteration:
+One controller -- the gmin ladder, its damped Newton loop and the rescue
+ladder -- serves both entry points:
 
-* :func:`dc_operating_point` -- classic serial Newton on one circuit;
-* :func:`dc_operating_point_batch` -- the same gmin ladder on ``B``
-  topology-identical circuits at once, assembling one ``(B, size, size)``
-  tensor per iteration and solving it with a single stacked LAPACK call.
-  Per-design convergence masking freezes finished designs exactly where
-  the serial iteration would stop them, so each design's iterate sequence
-  -- and hence its final :class:`OperatingPoint` -- is bit-identical to a
-  serial solve of that design alone.
+* :func:`dc_operating_point` runs it on one circuit;
+* :func:`dc_operating_point_batch` runs it on ``B`` topology-identical
+  circuits at once, advancing every in-flight design with one stacked
+  ``(B, size, size)`` LAPACK solve per iteration.  Per-design convergence
+  masking freezes each design exactly where a solve of that design alone
+  would stop, so every design's iterate sequence -- and hence its
+  :class:`OperatingPoint` -- is bit-identical to :func:`dc_operating_point`
+  on that circuit.
 
-Both drivers solve dense MNA systems: the circuits this package sizes have
-at most a few dozen unknowns.
+Only the assembly depends on the batch size, and only through the input: a
+batch of one stamps through the scalar ``stamp_dc`` device contract
+(:class:`_ScalarAssembler`), larger batches through the vectorised
+``stamp_dc_batch`` contract (:class:`_BatchAssembler`).
+
+Every system is dense: the circuits this package sizes have at most a few
+dozen unknowns.
 """
 
 from __future__ import annotations
@@ -68,51 +74,6 @@ class OperatingPoint:
         return self.node_voltages[node]
 
 
-def _newton_solve(circuit: Circuit, start: np.ndarray, temperature: float,
-                  gmin: float, max_iterations: int, tolerance: float,
-                  damping: float, collect_residuals: bool = False,
-                  ) -> tuple[np.ndarray, bool, int, float, int, list | None]:
-    """Damped Newton iteration at a fixed gmin level.
-
-    Returns ``(voltages, converged, iterations, residual, clamps,
-    trajectory)``: ``residual`` is the last computed ``max|delta|`` (NaN if
-    the solve bailed before any update), ``clamps`` counts voltage steps
-    clipped by the damping limiter, and ``trajectory`` lists the
-    per-iteration residuals when ``collect_residuals`` is set (telemetry
-    only -- the extra list appends never run on a disabled hot path).
-    """
-    voltages = start.copy()
-    stamper = circuit.make_stamper()
-    residual = float("nan")
-    clamps = 0
-    trajectory: list | None = [] if collect_residuals else None
-    for iteration in range(1, max_iterations + 1):
-        circuit.stamp_dc(voltages, temperature, gmin=gmin, stamper=stamper)
-        try:
-            new_voltages = stamper.solve()
-        except np.linalg.LinAlgError:
-            try:
-                new_voltages = stamper.solve_lstsq()
-            except np.linalg.LinAlgError:
-                # lstsq's SVD can itself diverge on a non-finite system;
-                # bail out rather than poison the next gmin step's warm start.
-                return voltages, False, iteration, residual, clamps, trajectory
-        if not np.all(np.isfinite(new_voltages)):
-            return voltages, False, iteration, residual, clamps, trajectory
-        delta = new_voltages - voltages
-        abs_delta = np.abs(delta)
-        # Limit the per-iteration voltage step (classic SPICE damping).
-        step = np.clip(delta, -damping, damping)
-        voltages = voltages + step
-        residual = float(np.max(abs_delta))
-        clamps += int(np.count_nonzero(abs_delta > damping))
-        if trajectory is not None:
-            trajectory.append(residual)
-        if residual < tolerance:
-            return voltages, True, iteration, residual, clamps, trajectory
-    return voltages, False, max_iterations, residual, clamps, trajectory
-
-
 #: Fallback schedule for solves the standard settings cannot crack: a much
 #: denser gmin ladder with gentle damping.  Slower per attempt, so it only
 #: runs after the standard ladder has already failed.
@@ -126,51 +87,6 @@ _RESCUE_DAMPING = 0.1
 #: the cost of hopeless designs (common in random optimizer batches) to a
 #: fraction of the full ladder.
 _RESCUE_MAX_FAILED_STEPS = 2
-
-
-def _gmin_ladder(circuit: Circuit, start: np.ndarray, temperature: float,
-                 gmin_steps: tuple[float, ...], max_iterations: int,
-                 tolerance: float, damping: float,
-                 max_failed_steps: int | None = None,
-                 collect_residuals: bool = False,
-                 ) -> tuple[np.ndarray, bool, int, dict]:
-    """Run Newton down a gmin ladder, warm-starting each step.
-
-    ``max_failed_steps`` aborts the ladder early once more than that many
-    steps have failed to converge (``None`` never aborts -- the standard
-    path's exact legacy semantics).
-
-    The ``info`` dict carries solve statistics: per-step iteration counts,
-    the final step's residual and gmin (what a failure message reports),
-    total damping clamps, and -- only when ``collect_residuals`` -- the
-    final step's residual trajectory.
-    """
-    voltages = start
-    total_iterations = 0
-    converged = False
-    failed_steps = 0
-    iterations_per_gmin: list[int] = []
-    residual = float("nan")
-    last_gmin = 0.0
-    clamps = 0
-    trajectory: list | None = None
-    for gmin in gmin_steps:
-        voltages, converged, used, residual, step_clamps, trajectory = (
-            _newton_solve(circuit, voltages, temperature, gmin,
-                          max_iterations, tolerance, damping,
-                          collect_residuals=collect_residuals))
-        total_iterations += used
-        iterations_per_gmin.append(used)
-        last_gmin = gmin
-        clamps += step_clamps
-        if not converged:
-            failed_steps += 1
-            if (max_failed_steps is not None
-                    and failed_steps > max_failed_steps):
-                break
-    info = {"iterations_per_gmin": iterations_per_gmin, "residual": residual,
-            "gmin": last_gmin, "clamps": clamps, "trajectory": trajectory}
-    return voltages, converged, total_iterations, info
 
 
 def dc_operating_point(circuit: Circuit, temperature: float = 27.0,
@@ -209,54 +125,56 @@ def dc_operating_point(circuit: Circuit, temperature: float = 27.0,
     if start.shape[0] != size:
         raise ValueError(f"initial_guess must have length {size}")
 
-    collect = telemetry.enabled()
     with telemetry.span("spice.dc", circuit=circuit.title):
-        voltages, converged, total_iterations, info = _gmin_ladder(
-            circuit, start.copy(), temperature, tuple(gmin_steps),
-            max_iterations, tolerance, damping, collect_residuals=collect)
-        iterations_per_gmin = list(info["iterations_per_gmin"])
-        clamps = info["clamps"]
-        rescue_entered = False
-        if not converged and rescue:
-            rescue_entered = True
-            rescued, converged, used, info = _gmin_ladder(
-                circuit, start.copy(), temperature, _RESCUE_GMIN_STEPS,
-                _RESCUE_MAX_ITERATIONS, tolerance, _RESCUE_DAMPING,
-                max_failed_steps=_RESCUE_MAX_FAILED_STEPS,
-                collect_residuals=collect)
-            total_iterations += used
-            iterations_per_gmin.extend(info["iterations_per_gmin"])
-            clamps += info["clamps"]
-            if converged:
-                voltages = rescued
-    # The failure detail reports the last ladder actually walked (the
-    # rescue ladder once entered) -- same on the batched path.
-    trajectory = info["trajectory"] if not converged else None
-    stats = SolveStats(
-        analysis="dc", converged=converged, iterations=total_iterations,
-        iterations_per_gmin=tuple(iterations_per_gmin),
-        gmin_steps=len(iterations_per_gmin), rescue_entered=rescue_entered,
-        damping_clamps=clamps, final_residual=info["residual"],
-        final_gmin=info["gmin"],
-        residual_trajectory=tuple(trajectory) if trajectory else ())
+        voltages, converged, iterations, rescued, info = _solve_dc(
+            _ScalarAssembler(circuit, temperature), start[None, :],
+            tuple(gmin_steps), max_iterations, tolerance, damping, rescue)
+    stats = _dc_stats(0, converged, iterations, rescued, info)
     telemetry.record_solve(stats)
-    if not converged and raise_on_failure:
+    if not stats.converged and raise_on_failure:
         raise ConvergenceError(
             f"DC analysis of {circuit.title!r} did not converge "
             f"{stats.failure_detail()}")
+    return _operating_point(circuit, voltages[0], temperature, stats)
 
-    node_voltages = {name: float(voltages[index])
-                     for name, index in zip(circuit.nodes, range(circuit.n_nodes))}
-    device_info = {device.name: device.operating_info(voltages, temperature)
+
+def _dc_stats(b: int, converged: np.ndarray, iterations: np.ndarray,
+              rescued: np.ndarray, info: dict, **batch) -> SolveStats:
+    """Design ``b``'s :class:`SolveStats` from the controller's arrays.
+
+    The failure detail reports the last ladder the design actually walked
+    (the rescue ladder once entered); ``batch`` adds the batch-only fields.
+    """
+    trajectory = info["trajectories"][b] if not converged[b] else ()
+    return SolveStats(
+        analysis="dc", converged=bool(converged[b]),
+        iterations=int(iterations[b]),
+        iterations_per_gmin=tuple(info["iterations_per_gmin"][b]),
+        gmin_steps=len(info["iterations_per_gmin"][b]),
+        rescue_entered=bool(rescued[b]),
+        damping_clamps=int(info["clamps"][b]),
+        final_residual=float(info["residual"][b]),
+        final_gmin=float(info["gmin"][b]),
+        residual_trajectory=tuple(trajectory), **batch)
+
+
+def _operating_point(circuit: Circuit, voltages: np.ndarray, temperature,
+                     stats: SolveStats) -> OperatingPoint:
+    """Package one design's solution with its device bias information."""
+    solution = voltages.copy()
+    node_voltages = {name: float(solution[index])
+                     for name, index in zip(circuit.nodes,
+                                            range(circuit.n_nodes))}
+    device_info = {device.name: device.operating_info(solution, temperature)
                    for device in circuit.devices}
-    return OperatingPoint(voltages=voltages, node_voltages=node_voltages,
-                          device_info=device_info, converged=converged,
-                          iterations=total_iterations, temperature=temperature,
+    return OperatingPoint(voltages=solution, node_voltages=node_voltages,
+                          device_info=device_info, converged=stats.converged,
+                          iterations=stats.iterations, temperature=temperature,
                           stats=stats)
 
 
 # --------------------------------------------------------------------- #
-# batched Newton                                                         #
+# the controller and its assemblers                                      #
 # --------------------------------------------------------------------- #
 def _check_batch_topology(circuits: list[Circuit]) -> None:
     """Verify that every circuit in the batch is topology-identical.
@@ -288,14 +206,24 @@ def _check_batch_topology(circuits: list[Circuit]) -> None:
                     f"match {first.title!r}")
 
 
-class _BatchAssembler:
-    """Assembles the batched DC system for any active subset of designs.
+def _batch_temperatures(temperature, batch_size: int) -> np.ndarray:
+    """A scalar or length-``batch_size`` temperature as a ``(B,)`` array."""
+    temperatures = np.asarray(temperature, dtype=float)
+    if temperatures.ndim == 0:
+        return np.full(batch_size, float(temperatures))
+    if temperatures.shape != (batch_size,):
+        raise ValueError(f"temperature must be a scalar or have shape "
+                         f"({batch_size},), got {temperatures.shape}")
+    return temperatures
 
-    Built once per batched solve: transposes the batch into per-device
-    sibling columns, precomputes each device's vectorized context over the
-    *full* batch, and then stamps arbitrary active sub-batches by slicing
-    those contexts row-wise -- convergence masking never re-derives model
-    constants.
+
+class _ColumnAssembler:
+    """What the vectorised DC and transient assemblers share.
+
+    The batch is transposed into per-device sibling columns, the occupancy
+    counters track active rows per assembled iteration over the full batch,
+    and one :class:`BatchStamper` is reused until the active batch size
+    changes.
     """
 
     def __init__(self, circuits: list[Circuit], temperatures: np.ndarray):
@@ -304,13 +232,74 @@ class _BatchAssembler:
         self.n_branches = first.n_branches
         self.size = self.n_nodes + self.n_branches
         self.temperatures = temperatures
-        # Telemetry counters: convergence-mask occupancy (active rows per
-        # assembled iteration over the full batch).
         self.total_designs = len(circuits)
         self.assemblies = 0
         self.active_rows = 0
         self.columns = [tuple(circuit.devices[position] for circuit in circuits)
                         for position in range(len(first.devices))]
+        self.contexts: list = []
+        self._gather_cache: dict[bytes, tuple] = {}
+        self._stamper: BatchStamper | None = None
+
+    @property
+    def occupancy(self) -> float:
+        """Mean fraction of the batch active per assembled iteration."""
+        if not self.assemblies:
+            return float("nan")
+        return self.active_rows / (self.assemblies * self.total_designs)
+
+    #: Gather memo bound.  Sub-batch gathers are memoized because the active
+    #: set changes only as designs finish, while stamping runs every
+    #: iteration; the cap only guards pathological churn.
+    _GATHER_CACHE_MAX = 128
+
+    def _gather(self, indices: np.ndarray) -> tuple:
+        """Sibling devices, sliced contexts and temperatures of ``indices``.
+
+        The fourth entry is whatever :meth:`_gather_extra` slices for the
+        subclass.
+        """
+        key = indices.tobytes()
+        cached = self._gather_cache.get(key)
+        if cached is None:
+            if len(self._gather_cache) >= self._GATHER_CACHE_MAX:
+                self._gather_cache.clear()
+            index_list = indices.tolist()
+            siblings = [[column[i] for i in index_list]
+                        for column in self.columns]
+            contexts = [None if context is None
+                        else {name: values[indices]
+                              for name, values in context.items()}
+                        for context in self.contexts]
+            cached = (siblings, contexts, self.temperatures[indices],
+                      self._gather_extra(indices, index_list))
+            self._gather_cache[key] = cached
+        return cached
+
+    def _reset_stamper(self, batch_size: int) -> BatchStamper:
+        """A zeroed stamper for ``batch_size`` active rows, counted."""
+        self.assemblies += 1
+        self.active_rows += batch_size
+        stamper = self._stamper
+        if stamper is None or stamper.batch_size != batch_size:
+            stamper = BatchStamper(batch_size, self.n_nodes, self.n_branches)
+            self._stamper = stamper
+        else:
+            stamper.reset()
+        return stamper
+
+
+class _BatchAssembler(_ColumnAssembler):
+    """Assembles the batched DC system for any active subset of designs.
+
+    Built once per batched solve: precomputes each device's vectorized
+    context over the *full* batch, and then stamps arbitrary active
+    sub-batches by slicing those contexts row-wise -- convergence masking
+    never re-derives model constants.
+    """
+
+    def __init__(self, circuits: list[Circuit], temperatures: np.ndarray):
+        super().__init__(circuits, temperatures)
         self.contexts = [column[0].dc_batch_context(list(column), temperatures)
                          for column in self.columns]
         # Fusion plan: maximal runs of >=2 consecutive same-class fusable
@@ -349,48 +338,14 @@ class _BatchAssembler:
                 flush()
             run.append(position)
         flush()
-        # Sub-batch gathers are memoized: the active set only shrinks a
-        # handful of times per ladder, while stamping runs every iteration.
-        self._gather_cache: dict[bytes, tuple] = {}
-        self._stamper: BatchStamper | None = None
 
-    def _gather(self, indices: np.ndarray) -> tuple:
-        key = indices.tobytes()
-        cached = self._gather_cache.get(key)
-        if cached is None:
-            index_list = indices.tolist()
-            siblings = [[column[i] for i in index_list]
-                        for column in self.columns]
-            contexts = [None if context is None
-                        else {name: values[indices]
-                              for name, values in context.items()}
-                        for context in self.contexts]
-            temperatures = self.temperatures[indices]
-            fused_params = [{name: values[:, indices]
-                             for name, values in params.items()}
-                            for _, _, _, params in self.fused]
-            cached = (siblings, contexts, temperatures, fused_params)
-            self._gather_cache[key] = cached
-        return cached
-
-    @property
-    def occupancy(self) -> float:
-        """Mean fraction of the batch active per assembled iteration."""
-        if not self.assemblies:
-            return float("nan")
-        return self.active_rows / (self.assemblies * self.total_designs)
+    def _gather_extra(self, indices: np.ndarray, index_list: list) -> list:
+        return [{name: values[:, indices] for name, values in params.items()}
+                for _, _, _, params in self.fused]
 
     def assemble(self, indices: np.ndarray, voltages: np.ndarray, gmin: float):
         """Stamp the active sub-batch ``indices`` at trial ``voltages``."""
-        batch_size = len(indices)
-        self.assemblies += 1
-        self.active_rows += batch_size
-        stamper = self._stamper
-        if stamper is None or stamper.batch_size != batch_size:
-            stamper = BatchStamper(batch_size, self.n_nodes, self.n_branches)
-            self._stamper = stamper
-        else:
-            stamper.reset()
+        stamper = self._reset_stamper(len(indices))
         siblings, contexts, temperatures, fused_params = self._gather(indices)
         # One errstate frame for the whole stamp loop: device models produce
         # benign overflows/invalids on NaN trial voltages, and entering a
@@ -410,12 +365,42 @@ class _BatchAssembler:
         return stamper
 
 
-def _solve_rows_individually(stamper, size: int) -> np.ndarray:
+class _ScalarAssembler:
+    """Assembles a batch of one through the scalar ``stamp_dc`` contract.
+
+    At B=1 the vectorised contract costs more than it saves, so the one
+    circuit stamps device by device into a design view of a ``(1, size,
+    size)`` :class:`BatchStamper`; the controller then solves that stamper
+    exactly as it solves a vectorised batch.
+    """
+
+    def __init__(self, circuit: Circuit, temperature):
+        self.circuit = circuit
+        self.temperature = temperature
+        self.size = circuit.n_nodes + circuit.n_branches
+        self.stamper = BatchStamper(1, circuit.n_nodes, circuit.n_branches)
+        self.view = self.stamper.design_view(0)
+        self.assemblies = 0
+
+    @property
+    def occupancy(self) -> float:
+        return 1.0 if self.assemblies else float("nan")
+
+    def assemble(self, indices: np.ndarray, voltages: np.ndarray, gmin: float):
+        self.assemblies += 1
+        self.circuit.stamp_dc(voltages[0], self.temperature, gmin=gmin,
+                              stamper=self.view)
+        return self.stamper
+
+
+def _solve_rows_individually(stamper, size: int,
+                             errors: list | None = None) -> np.ndarray:
     """Per-design solve fallback once the stacked solve hits a singular design.
 
-    Replicates the serial solver chain per design -- direct solve, then
-    least-squares, then give up (a NaN row, which the finite check freezes
-    exactly like the serial bail-out).
+    Per design: direct solve, then least-squares, then give up -- a NaN row,
+    which the controller's finite check turns into a bail-out.  When
+    ``errors`` is given (aligned with the designs), a least-squares failure
+    is also recorded there.
     """
     out = np.empty((stamper.batch_size, size))
     for b in range(stamper.batch_size):
@@ -424,12 +409,14 @@ def _solve_rows_individually(stamper, size: int) -> np.ndarray:
         except np.linalg.LinAlgError:
             try:
                 out[b] = stamper.solve_lstsq_design(b)
-            except np.linalg.LinAlgError:
+            except np.linalg.LinAlgError as exc:
+                if errors is not None:
+                    errors[b] = exc
                 out[b] = np.nan
     return out
 
 
-def _newton_solve_batch(assembler: _BatchAssembler, voltages: np.ndarray,
+def _newton_solve_batch(assembler, voltages: np.ndarray,
                         indices: np.ndarray, gmin: float, max_iterations: int,
                         tolerance: float, damping: float,
                         collect_residuals: bool = False,
@@ -439,74 +426,99 @@ def _newton_solve_batch(assembler: _BatchAssembler, voltages: np.ndarray,
 
     Updates the full-batch ``voltages`` rows in place and returns
     ``(converged, iterations, residual, clamps, trajectories)`` arrays
-    aligned with ``indices``.  Designs freeze the moment their serial
-    counterpart would stop -- after applying the final damped step on
-    convergence, *before* applying anything on a non-finite solution -- so
-    warm starts for the next ladder step are bit-identical to serial.
+    aligned with ``indices``.  In-flight designs iterate on compact arrays,
+    and a design's row is written back only when it stops: after applying
+    the final damped step on convergence, *before* applying anything on a
+    non-finite solution, or as it stands when the iteration budget runs
+    out.  A design's iterates therefore never depend on which other designs
+    share the batch, and warm starts for the next ladder step are
+    bit-identical at any batch size.
 
-    ``residual`` mirrors the serial solver's reporting exactly: it holds
-    each design's last finite-iteration ``max|delta|`` (NaN when a design
-    bailed before its first update), so failure messages built from it are
-    string-identical to the serial path's.
+    ``residual`` holds each design's last finite-iteration ``max|delta|``
+    (NaN when a design bailed before its first update); ``clamps`` counts
+    the voltage steps the damping limiter clipped.  Both feed failure
+    messages, which are therefore string-identical at any batch size.
     """
-    converged = np.zeros(len(indices), dtype=bool)
-    iterations = np.zeros(len(indices), dtype=int)
-    residual = np.full(len(indices), np.nan)
-    clamps = np.zeros(len(indices), dtype=int)
+    count = len(indices)
+    converged = np.zeros(count, dtype=bool)
+    iterations = np.full(count, max_iterations)
+    residual = np.full(count, np.nan)
+    clamps = np.zeros(count, dtype=int)
     trajectories: list | None = (
-        [[] for _ in range(len(indices))] if collect_residuals else None)
-    alive = np.arange(len(indices))
+        [[] for _ in range(count)] if collect_residuals else None)
+    # The in-flight designs: positions into ``indices``, design rows,
+    # iterates, running residuals and per-entry clamp counts.
+    alive = np.arange(count)
+    active = indices
+    current = voltages[indices]
+    alive_residual = residual.copy()
+    alive_clamps = np.zeros(current.shape, dtype=int)
     for iteration in range(1, max_iterations + 1):
-        active = indices[alive]
-        stamper = assembler.assemble(active, voltages[active], gmin)
+        stamper = assembler.assemble(active, current, gmin)
         try:
             new_voltages = stamper.solve()
         except np.linalg.LinAlgError:
             new_voltages = _solve_rows_individually(stamper, assembler.size)
         finite = np.isfinite(new_voltages).all(axis=1)
-        iterations[alive[~finite]] = iteration
-        current = voltages[active]
         delta = new_voltages - current
         abs_delta = np.abs(delta)
-        step = np.clip(delta, -damping, damping)
-        row_residual = np.max(abs_delta, axis=1)
-        # Rows with non-finite deltas compare False here and are already
-        # excluded by ``finite``; NaNs propagate through max without noise.
-        below_tolerance = row_residual < tolerance
-        updated = alive[finite]
-        # Serial never computes a delta on the bail-out iteration, so only
-        # finite rows refresh their reported residual and clamp count.
-        residual[updated] = row_residual[finite]
-        clamps[updated] += np.count_nonzero(abs_delta > damping,
-                                            axis=1)[finite]
+        row_residual = abs_delta.max(axis=1)
+        clamped = abs_delta > damping
+        # np.clip's semantics in two bare ufunc calls (NaN propagates).
+        stepped = current + np.minimum(np.maximum(delta, -damping), damping)
         if trajectories is not None:
-            for position, value in zip(updated, row_residual[finite]):
+            for position, value in zip(alive[finite], row_residual[finite]):
                 trajectories[position].append(float(value))
-        voltages[indices[updated]] = (current + step)[finite]
-        newly_converged = finite & below_tolerance
-        converged[alive[newly_converged]] = True
-        iterations[alive[newly_converged]] = iteration
-        alive = alive[finite & ~below_tolerance]
+        # NaN residuals compare False, so only finite rows converge.
+        below = row_residual < tolerance
+        if finite.all() and not below.any():
+            alive_residual = row_residual
+            alive_clamps += clamped
+            current = stepped
+            continue
+        # A bail-out computes no delta, so only finite rows refresh the
+        # reported residual and clamp count.
+        alive_residual = np.where(finite, row_residual, alive_residual)
+        alive_clamps += clamped & finite[:, None]
+        stop = below | ~finite
+        done = alive[stop]
+        ok = finite[stop]
+        voltages[active[stop]] = np.where(ok[:, None], stepped[stop],
+                                          current[stop])
+        converged[done] = ok
+        iterations[done] = iteration
+        residual[done] = alive_residual[stop]
+        clamps[done] = alive_clamps[stop].sum(axis=1)
+        keep = ~stop
+        alive = alive[keep]
         if alive.size == 0:
             return converged, iterations, residual, clamps, trajectories
-    iterations[alive] = max_iterations
+        active = active[keep]
+        current = stepped[keep]
+        alive_residual = alive_residual[keep]
+        alive_clamps = alive_clamps[keep]
+    voltages[active] = current
+    residual[alive] = alive_residual
+    clamps[alive] = alive_clamps.sum(axis=1)
     return converged, iterations, residual, clamps, trajectories
 
 
-def _gmin_ladder_batch(assembler: _BatchAssembler, voltages: np.ndarray,
+def _gmin_ladder_batch(assembler, voltages: np.ndarray,
                        indices: np.ndarray, gmin_steps: tuple[float, ...],
                        max_iterations: int, tolerance: float, damping: float,
                        max_failed_steps: int | None = None,
                        collect_residuals: bool = False,
                        ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The serial gmin ladder over a batch of designs.
+    """Run Newton down a gmin ladder for the designs ``indices``.
 
-    Mirrors :func:`_gmin_ladder` per design: every design runs *every*
-    ladder step (warm-started from its previous step) regardless of earlier
-    convergence, ``converged`` reports the final step's outcome, and
-    ``max_failed_steps`` retires designs whose failure count exceeds it.
-    The ``info`` dict carries the same per-design solve statistics as the
-    serial ladder's, as arrays/lists aligned with ``indices``.
+    Every design runs *every* ladder step (warm-started from its previous
+    step) regardless of earlier convergence, ``converged`` reports the final
+    step's outcome, and ``max_failed_steps`` retires designs whose failure
+    count exceeds it (``None`` never retires).  The ``info`` dict carries
+    per-design solve statistics aligned with ``indices``: iterations per
+    gmin step, the last step's residual and gmin (what a failure message
+    reports), total damping clamps and -- only when ``collect_residuals``
+    -- the last step's residual trajectory.
     """
     count = len(indices)
     converged = np.zeros(count, dtype=bool)
@@ -528,8 +540,8 @@ def _gmin_ladder_batch(assembler: _BatchAssembler, voltages: np.ndarray,
                                 collect_residuals=collect_residuals))
         total_iterations[positions] += used
         converged[positions] = step_converged
-        # Failure reporting mirrors serial: the *last step a design ran*
-        # provides its residual and gmin level.
+        # The *last step a design ran* provides its reported residual and
+        # gmin level.
         residual[positions] = step_residual
         final_gmin[positions] = gmin
         clamps[positions] += step_clamps
@@ -545,6 +557,53 @@ def _gmin_ladder_batch(assembler: _BatchAssembler, voltages: np.ndarray,
             "iterations_per_gmin": iterations_per_gmin,
             "trajectories": trajectories}
     return converged, total_iterations, info
+
+
+def _solve_dc(assembler, start: np.ndarray, gmin_steps: tuple[float, ...],
+              max_iterations: int, tolerance: float, damping: float,
+              rescue: bool) -> tuple:
+    """The DC controller: the gmin ladder, then the rescue ladder on failures.
+
+    Returns ``(voltages, converged, iterations, rescued, info)`` with one row
+    or entry per design of ``start``; ``rescued`` marks the designs that
+    entered the rescue ladder.
+    """
+    batch_size = start.shape[0]
+    indices = np.arange(batch_size)
+    voltages = start.copy()
+    collect = telemetry.enabled()
+    rescued = np.zeros(batch_size, dtype=bool)
+    converged, total_iterations, info = _gmin_ladder_batch(
+        assembler, voltages, indices, gmin_steps, max_iterations, tolerance,
+        damping, collect_residuals=collect)
+    if rescue and not converged.all():
+        failed = indices[~converged]
+        rescued[failed] = True
+        # The rescue ladder restarts the failed designs from the original
+        # start, on a scratch copy: a failed rescue leaves the standard
+        # ladder's best solution in place.
+        rescue_voltages = voltages.copy()
+        rescue_voltages[failed] = start[failed]
+        rescue_converged, used, rescue_info = _gmin_ladder_batch(
+            assembler, rescue_voltages, failed, _RESCUE_GMIN_STEPS,
+            _RESCUE_MAX_ITERATIONS, tolerance, _RESCUE_DAMPING,
+            max_failed_steps=_RESCUE_MAX_FAILED_STEPS,
+            collect_residuals=collect)
+        total_iterations[failed] += used
+        # The rescue ladder ran last for these designs, so it provides
+        # their reported residual/gmin.
+        info["residual"][failed] = rescue_info["residual"]
+        info["gmin"][failed] = rescue_info["gmin"]
+        info["clamps"][failed] += rescue_info["clamps"]
+        for offset, b in enumerate(failed):
+            info["iterations_per_gmin"][b].extend(
+                rescue_info["iterations_per_gmin"][offset])
+            if collect:
+                info["trajectories"][b] = rescue_info["trajectories"][offset]
+        recovered = failed[rescue_converged]
+        voltages[recovered] = rescue_voltages[recovered]
+        converged[recovered] = True
+    return voltages, converged, total_iterations, rescued, info
 
 
 def dc_operating_point_batch(circuits, temperature=27.0,
@@ -563,7 +622,8 @@ def dc_operating_point_batch(circuits, temperature=27.0,
     per-design stamping into batch slices) and one stacked solve advances
     every still-active design.  Converged designs freeze while stragglers
     iterate, and the rescue ladder runs only on the failed sub-batch, so the
-    work tracks the hardest design rather than the batch size.
+    work tracks the hardest design rather than the batch size.  A batch of
+    one stamps through the scalar device contract instead.
 
     ``temperature`` may be a scalar or a length-``B`` array (per-design
     corner temperatures).  Results are bit-identical to calling
@@ -576,12 +636,7 @@ def dc_operating_point_batch(circuits, temperature=27.0,
     first = circuits[0]
     size = first.n_nodes + first.n_branches
     batch_size = len(circuits)
-    temperatures = np.asarray(temperature, dtype=float)
-    if temperatures.ndim == 0:
-        temperatures = np.full(batch_size, float(temperatures))
-    elif temperatures.shape != (batch_size,):
-        raise ValueError(f"temperature must be a scalar or have shape "
-                         f"({batch_size},), got {temperatures.shape}")
+    temperatures = _batch_temperatures(temperature, batch_size)
     if initial_guess is None:
         start = np.zeros((batch_size, size))
     else:
@@ -590,86 +645,34 @@ def dc_operating_point_batch(circuits, temperature=27.0,
             raise ValueError(f"initial_guess must have shape "
                              f"({batch_size}, {size}), got {start.shape}")
 
-    assembler = _BatchAssembler(circuits, temperatures)
-    indices = np.arange(batch_size)
-    voltages = start.copy()
-    collect = telemetry.enabled()
-    rescue_mask = np.zeros(batch_size, dtype=bool)
+    assembler = (_ScalarAssembler(first, float(temperatures[0]))
+                 if batch_size == 1
+                 else _BatchAssembler(circuits, temperatures))
     with telemetry.span("spice.dc_batch", batch=batch_size,
                         circuit=first.title):
-        converged, total_iterations, info = _gmin_ladder_batch(
-            assembler, voltages, indices, tuple(gmin_steps), max_iterations,
-            tolerance, damping, collect_residuals=collect)
-        if rescue and not converged.all():
-            failed = indices[~converged]
-            rescue_mask[failed] = True
-            # The rescue ladder restarts the failed designs from the original
-            # start, on a scratch copy: like the serial driver, a failed rescue
-            # leaves the standard ladder's best solution in place.
-            rescue_voltages = voltages.copy()
-            rescue_voltages[failed] = start[failed]
-            rescue_converged, used, rescue_info = _gmin_ladder_batch(
-                assembler, rescue_voltages, failed, _RESCUE_GMIN_STEPS,
-                _RESCUE_MAX_ITERATIONS, tolerance, _RESCUE_DAMPING,
-                max_failed_steps=_RESCUE_MAX_FAILED_STEPS,
-                collect_residuals=collect)
-            total_iterations[failed] += used
-            # The rescue ladder ran last for these designs, so it provides
-            # their reported residual/gmin -- exactly as on the serial path.
-            info["residual"][failed] = rescue_info["residual"]
-            info["gmin"][failed] = rescue_info["gmin"]
-            info["clamps"][failed] += rescue_info["clamps"]
-            for offset, b in enumerate(failed):
-                info["iterations_per_gmin"][b].extend(
-                    rescue_info["iterations_per_gmin"][offset])
-                if collect:
-                    info["trajectories"][b] = rescue_info["trajectories"][offset]
-            rescued = failed[rescue_converged]
-            voltages[rescued] = rescue_voltages[rescued]
-            converged[rescued] = True
+        voltages, converged, iterations, rescued, info = _solve_dc(
+            assembler, start, tuple(gmin_steps), max_iterations, tolerance,
+            damping, rescue)
 
     occupancy = assembler.occupancy
-    per_design_stats = []
-    for b in range(batch_size):
-        trajectory = info["trajectories"][b] if not converged[b] else ()
-        per_design_stats.append(SolveStats(
-            analysis="dc", converged=bool(converged[b]),
-            iterations=int(total_iterations[b]),
-            iterations_per_gmin=tuple(info["iterations_per_gmin"][b]),
-            gmin_steps=len(info["iterations_per_gmin"][b]),
-            rescue_entered=bool(rescue_mask[b]),
-            damping_clamps=int(info["clamps"][b]),
-            final_residual=float(info["residual"][b]),
-            final_gmin=float(info["gmin"][b]),
-            residual_trajectory=tuple(trajectory),
-            batch_size=batch_size, batch_occupancy=occupancy))
-    if telemetry.enabled():
-        for stats in per_design_stats:
-            telemetry.record_solve(stats)
-        if occupancy == occupancy:  # skip the no-assembly NaN
-            telemetry.observe("repro_batch_occupancy", occupancy,
-                              telemetry.FRACTION_BUCKETS)
+    per_design_stats = [
+        _dc_stats(b, converged, iterations, rescued, info,
+                  batch_size=batch_size, batch_occupancy=occupancy)
+        for b in range(batch_size)]
+    for stats in per_design_stats:
+        telemetry.record_solve(stats)
+    if occupancy == occupancy:  # skip the no-assembly NaN
+        telemetry.observe("repro_batch_occupancy", occupancy,
+                          telemetry.FRACTION_BUCKETS)
 
     if raise_on_failure and not converged.all():
-        failures = indices[~converged]
+        failures = np.nonzero(~converged)[0]
         titles = [circuits[i].title for i in failures]
         raise ConvergenceError(
             f"batched DC analysis: {len(titles)} of {batch_size} designs did "
             f"not converge (first failure: {titles[0]!r} "
             f"{per_design_stats[failures[0]].failure_detail()})")
 
-    results = []
-    for b, circuit in enumerate(circuits):
-        solution = voltages[b].copy()
-        celsius = float(temperatures[b])
-        node_voltages = {name: float(solution[index])
-                         for name, index in zip(circuit.nodes,
-                                                range(circuit.n_nodes))}
-        device_info = {device.name: device.operating_info(solution, celsius)
-                       for device in circuit.devices}
-        results.append(OperatingPoint(
-            voltages=solution, node_voltages=node_voltages,
-            device_info=device_info, converged=bool(converged[b]),
-            iterations=int(total_iterations[b]), temperature=celsius,
-            stats=per_design_stats[b]))
-    return results
+    return [_operating_point(circuit, voltages[b], float(temperatures[b]),
+                             per_design_stats[b])
+            for b, circuit in enumerate(circuits)]

@@ -7,17 +7,24 @@ transparently ignores the ground node (index ``-1``).
 
 Two dense stamper implementations share one stamping vocabulary:
 
-* :class:`Stamper` -- one ``(size, size)`` system solved with LAPACK;
+* :class:`Stamper` -- one ``(size, size)`` system solved with LAPACK, filled
+  through the scalar ``stamp_dc`` / ``stamp_transient`` / ``stamp_ac``
+  device contract;
 * :class:`BatchStamper` -- ``B`` topology-identical systems as one
   ``(B, size, size)`` tensor, filled by the vectorized ``stamp_dc_batch``
   device contract (scalar *or* ``(B,)``-valued stamps) and solved with one
   stacked LAPACK call.
 
+The DC and transient controllers always solve a :class:`BatchStamper`; a
+batch of one is filled through a :class:`Stamper` view of its single design
+(:meth:`BatchStamper.design_view`).  AC and noise analysis use
+:class:`Stamper` directly.
+
 Bit-identity contract: :class:`BatchStamper` accumulates exactly the same
 additions in exactly the same order as :class:`Stamper` does per design, and
-its stacked solve is per-slice bit-identical to the serial solve -- so
-batched Newton reproduces serial Newton bit for bit (see
-``tests/test_batched.py``).
+its stacked solve is per-slice bit-identical to a solve of each design
+alone -- so a design's Newton iterates do not depend on the batch it is
+solved in (see ``tests/test_batched.py``).
 """
 
 from __future__ import annotations

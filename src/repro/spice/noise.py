@@ -20,8 +20,8 @@ Like :func:`repro.spice.ac.ac_analysis`, the sweep exploits the affine form
 ``A(omega) = G + omega * S`` of every built-in device stamp: the system is
 assembled exactly twice (plus one affinity probe) and all frequency points
 are solved as a single stacked ``(F, N, N)`` transposed
-:func:`numpy.linalg.solve`.  A per-frequency reference loop backs the
-vectorized path for singular points and benchmark comparisons.
+:func:`numpy.linalg.solve`.  A per-frequency loop takes over for non-affine
+stamps and singular points.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
-from repro.spice.ac import _AC_GMIN, logspace_frequencies
+from repro.spice.ac import _AC_GMIN, _affine_systems, logspace_frequencies
 from repro.spice.dc import OperatingPoint
 from repro.spice.devices.base import NoiseSource
 from repro.spice.netlist import Circuit
@@ -148,9 +148,12 @@ def _gather_sources(circuit: Circuit,
 
 def noise_analysis(circuit: Circuit, operating_point: OperatingPoint,
                    frequencies: np.ndarray | None = None,
-                   output: str = "out",
-                   method: str = "auto") -> NoiseResult:
+                   output: str = "out") -> NoiseResult:
     """Output (and input-referred) noise spectrum of ``circuit`` at a bias.
+
+    The stacked adjoint solve runs whenever every device declares affine AC
+    stamps; the per-frequency loop takes over otherwise and on singular
+    points.
 
     Parameters
     ----------
@@ -159,15 +162,7 @@ def noise_analysis(circuit: Circuit, operating_point: OperatingPoint,
         DC); defaults to 1 Hz .. 1 GHz, 20 points/decade.
     output:
         Observed output node (must not be ground).
-    method:
-        ``"auto"`` (default) uses the stacked adjoint solve whenever every
-        device declares affine AC stamps, falling back to the per-frequency
-        loop otherwise or on singular points; ``"vectorized"`` forces the
-        stacked path (raising on non-affine stamps); ``"per_frequency"``
-        forces the reference loop.
     """
-    if method not in ("auto", "vectorized", "per_frequency"):
-        raise ValueError(f"unknown noise method {method!r}")
     if frequencies is None:
         frequencies = logspace_frequencies()
     frequencies = np.asarray(frequencies, dtype=float)
@@ -182,16 +177,7 @@ def noise_analysis(circuit: Circuit, operating_point: OperatingPoint,
     affine = all(device.ac_affine for device in circuit.devices)
     with telemetry.span("spice.noise", circuit=circuit.title,
                         frequencies=int(frequencies.size)):
-        if method == "vectorized":
-            if not affine:
-                non_affine = [d.name for d in circuit.devices
-                              if not d.ac_affine]
-                raise ValueError(
-                    "method='vectorized' requires affine AC stamps; "
-                    f"non-affine devices: {non_affine}")
-            adjoints, rhs = _adjoint_vectorized(circuit, operating_point,
-                                                frequencies, out_index)
-        elif method == "auto" and affine:
+        if affine:
             try:
                 adjoints, rhs = _adjoint_vectorized(circuit, operating_point,
                                                     frequencies, out_index)
@@ -215,34 +201,23 @@ def _adjoint_vectorized(circuit: Circuit, operating_point: OperatingPoint,
     ``A(omega)^T y = e_out``) and the frequency-independent excitation
     vector ``b`` of the forward system.
     """
-    base = circuit.stamp_ac(0.0, operating_point)
-    unit = circuit.stamp_ac(1.0, operating_point)
-    if not np.array_equal(base.rhs, unit.rhs):
-        raise np.linalg.LinAlgError("AC excitation is frequency-dependent")
-    slope = unit.matrix - base.matrix
-    # Same third-sample affinity probe as the vectorized AC path: a device
-    # lying about ac_affine must not silently produce extrapolated garbage.
-    probe = circuit.stamp_ac(2.0, operating_point)
-    expected = base.matrix + 2.0 * slope
-    if not (np.allclose(probe.matrix, expected, rtol=1e-8, atol=1e-30)
-            and np.array_equal(probe.rhs, base.rhs)):
-        raise np.linalg.LinAlgError("AC stamps are not affine in omega")
-    omegas = 2.0 * np.pi * frequencies
-    systems = base.matrix[None, :, :] + omegas[:, None, None] * slope[None, :, :]
-    diagonal = np.arange(circuit.n_nodes)
-    systems[:, diagonal, diagonal] += _AC_GMIN
+    systems, rhs = _affine_systems(circuit, operating_point, frequencies)
     selector = np.zeros((systems.shape[1], 1), dtype=complex)
     selector[out_index, 0] = 1.0
     # swapaxes makes a view: one stacked LAPACK call on A^T per frequency.
     adjoints = np.linalg.solve(systems.swapaxes(1, 2),
                                selector[None, :, :])[..., 0]
-    return adjoints, base.rhs
+    return adjoints, rhs
 
 
 def _adjoint_per_frequency(circuit: Circuit, operating_point: OperatingPoint,
                            frequencies: np.ndarray, out_index: int,
                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Reference loop: assemble and solve one transposed system per frequency."""
+    """Assemble and solve one transposed system per frequency.
+
+    The fallback for circuits the stacked solve cannot take: non-affine
+    stamps or singular frequency points (solved by least squares).
+    """
     size = None
     adjoints = None
     rhs = None

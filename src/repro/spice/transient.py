@@ -19,20 +19,22 @@ classic SPICE recipe:
 time-domain measurements the sizing problems use as figures of merit: slew
 rate, settling time and overshoot of a step response.
 
-:func:`transient_analysis_batch` runs the same integration on ``B``
-topology-identical circuits at once.  Every design keeps its *own* adaptive
-controller (time, timestep, integration method, LTE history, breakpoint
-cursor) stepping exactly as the serial controller would, while the per-step
-Newton solves of all in-flight designs are batched: one
-``stamp_transient_batch`` pass per device column (see
-:mod:`repro.spice.devices.base`) assembles a ``(B, size, size)`` tensor
-and a single stacked solve advances every design.  Because each design's
-controller decisions depend only on its own iterate sequence, batched
-results are bit-identical to serial runs of each design alone.
+:func:`transient_analysis` and :func:`transient_analysis_batch` run one
+controller (:class:`_TranController`).  Every design keeps its *own*
+adaptive controller state (time, timestep, integration method, LTE history,
+breakpoint cursor), while the per-step Newton solves of all in-flight
+designs are batched into one ``(B, size, size)`` assembly and one stacked
+solve.  Because each design's decisions depend only on its own iterate
+sequence, a design's result is bit-identical at any batch size.  As in
+:mod:`repro.spice.dc`, only the assembly depends on the input: one circuit
+stamps through the scalar ``stamp_transient`` device contract, two or more
+through the vectorised ``stamp_transient_batch`` contract (see
+:mod:`repro.spice.devices.base`).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,11 +43,14 @@ from repro import telemetry
 from repro.errors import ConvergenceError
 from repro.spice.dc import (
     OperatingPoint,
+    _batch_temperatures,
+    _ColumnAssembler,
     _check_batch_topology,
+    _ScalarAssembler,
+    _solve_rows_individually,
     dc_operating_point,
     dc_operating_point_batch,
 )
-from repro.spice.mna import BatchStamper
 from repro.spice.netlist import Circuit
 from repro.telemetry import SolveStats
 
@@ -188,38 +193,6 @@ class TransientResult:
         return max(excursion, 0.0) / abs(swing) * 100.0
 
 
-def _newton_transient(circuit: Circuit, states: dict[str, dict],
-                      start: np.ndarray, time: float, dt: float, method: str,
-                      temperature: float, gmin: float, max_iterations: int,
-                      tolerance: float, damping: float,
-                      stamper=None) -> tuple[np.ndarray, bool, int, float]:
-    """Damped Newton iteration for one timestep (warm-started).
-
-    The returned residual is the last finite iteration's ``max|delta|``
-    (NaN if the solve bailed before any update) -- it feeds the enriched
-    failure messages and must stay bit-identical to the batched path's
-    per-design residual tracking.
-    """
-    voltages = start.copy()
-    residual = float("nan")
-    for iteration in range(1, max_iterations + 1):
-        stamper = circuit.stamp_transient(voltages, states, time, dt, method,
-                                          temperature, gmin=gmin,
-                                          stamper=stamper)
-        try:
-            new_voltages = stamper.solve()
-        except np.linalg.LinAlgError:
-            new_voltages = stamper.solve_lstsq()
-        if not np.all(np.isfinite(new_voltages)):
-            return voltages, False, iteration, residual
-        delta = new_voltages - voltages
-        voltages = voltages + np.clip(delta, -damping, damping)
-        residual = float(np.max(np.abs(delta)))
-        if residual < tolerance:
-            return voltages, True, iteration, residual
-    return voltages, False, max_iterations, residual
-
-
 def _divided_difference(times: list[float], values: list[np.ndarray]) -> np.ndarray:
     """Highest-order Newton divided difference of the given samples."""
     table = list(values)
@@ -252,35 +225,42 @@ def _collect_breakpoints(circuit: Circuit, t_stop: float) -> list[float]:
     return merged
 
 
-def transient_operating_point(circuit: Circuit, temperature: float = 27.0,
-                              ) -> OperatingPoint:
-    """DC solution with every waveform source held at its t = 0 value.
+@contextmanager
+def _sources_at_t0(circuits):
+    """Hold every waveform source of ``circuits`` at its t = 0 value.
 
     This is the transient initial condition: a source whose waveform starts
     away from its ``dc`` attribute (e.g. a step from a low level) must be
     biased at the waveform's starting value, not at the AC-testbench bias.
+    The ``dc`` attributes are restored on exit.
     """
     overridden = []
-    for device in circuit.devices:
-        waveform = getattr(device, "waveform", None)
-        if waveform is not None:
-            overridden.append((device, device.dc))
-            device.dc = waveform.value_at(0.0)
     try:
-        return dc_operating_point(circuit, temperature=temperature)
+        for circuit in circuits:
+            for device in circuit.devices:
+                waveform = getattr(device, "waveform", None)
+                if waveform is not None:
+                    overridden.append((device, device.dc))
+                    device.dc = waveform.value_at(0.0)
+        yield
     finally:
         for device, dc in overridden:
             device.dc = dc
 
 
+def transient_operating_point(circuit: Circuit, temperature: float = 27.0,
+                              ) -> OperatingPoint:
+    """DC solution with every waveform source held at its t = 0 value."""
+    with _sources_at_t0([circuit]):
+        return dc_operating_point(circuit, temperature=temperature)
+
+
 def _initial_condition_message(title: str, operating_point: OperatingPoint,
                                ) -> str:
-    """The (enriched) failed-initial-condition message, serial == batched.
+    """The failed-initial-condition message, enriched with the DC stats.
 
-    Both paths receive operating points whose :class:`SolveStats` hold
-    bit-identical residual/gmin/iteration values (the DC batch contract),
-    so the formatted detail is string-identical; an externally built
-    operating point without stats keeps the bare legacy message.
+    An externally built operating point without stats keeps the bare
+    message.
     """
     message = f"transient initial condition of {title!r} did not converge"
     stats = getattr(operating_point, "stats", None)
@@ -354,9 +334,9 @@ def transient_analysis(circuit: Circuit, t_stop: float,
         _check_op_temperature(temperature, operating_point)
     circuit.ensure_indices()
     observed = list(observe) if observe is not None else circuit.nodes
-    dt_initial = t_stop * 1e-4 if dt_initial is None else float(dt_initial)
-    dt_min = t_stop * 1e-12 if dt_min is None else float(dt_min)
-    dt_max = t_stop / 50.0 if dt_max is None else float(dt_max)
+    controller = _TranController(t_stop, dt_initial, dt_min, dt_max, reltol,
+                                 abstol, newton_tolerance,
+                                 max_newton_iterations, damping, max_steps)
 
     if operating_point is None:
         operating_point = transient_operating_point(circuit, temperature)
@@ -364,142 +344,15 @@ def transient_analysis(circuit: Circuit, t_stop: float,
         raise ConvergenceError(_initial_condition_message(circuit.title,
                                                           operating_point))
 
-    states = circuit.init_transient_states(operating_point, temperature)
-    n_nodes = circuit.n_nodes
-    eps = t_stop * 1e-12
-    # One stamper for the whole sweep: every Newton iteration of every step
-    # resets and restamps it in place instead of reallocating.
-    stamper = circuit.make_stamper()
-
-    t = 0.0
-    solution = operating_point.voltages.copy()
-    times = [0.0]
-    solutions = [solution.copy()]
-    # Accepted (t, solution) history for the divided-difference LTE estimate;
-    # reset at every breakpoint so the estimate never spans a discontinuity.
-    history: list[tuple[float, np.ndarray]] = [(0.0, solution.copy())]
-
-    breakpoints = _collect_breakpoints(circuit, t_stop)
-    next_break = 0
-    dt = min(dt_initial, dt_max, breakpoints[0])
-    n_accepted = n_rejected = n_newton = 0
-    residual = float("nan")
-    dt_smallest = float("inf")
-    dt_largest = 0.0
-
-    def _fail(message: str) -> ConvergenceError:
-        """Record the failed solve in the registry, then build the error."""
-        if telemetry.enabled():
-            telemetry.record_solve(SolveStats(
-                analysis="transient", converged=False, iterations=n_newton,
-                n_accepted=n_accepted, n_rejected=n_rejected,
-                final_residual=residual, final_gmin=_TRANSIENT_GMIN))
-        return ConvergenceError(message)
-
-    span = telemetry.span("spice.transient", circuit=circuit.title)
-    with span:
-        while t < t_stop - eps:
-            if n_accepted + n_rejected >= max_steps:
-                raise _fail(
-                    f"transient analysis of {circuit.title!r} exceeded "
-                    f"{max_steps} steps at t={t:.3e}s "
-                    f"({n_accepted} accepted, {n_rejected} rejected)")
-            while breakpoints[next_break] <= t + eps:
-                next_break += 1
-            dt = min(dt, dt_max, t_stop - t)
-            hit_break = t + dt >= breakpoints[next_break] - eps
-            if hit_break:
-                dt = breakpoints[next_break] - t
-            # Backward Euler until three accepted points exist past the last
-            # breakpoint, trapezoidal afterwards.
-            method = "be" if len(history) < 3 else "trap"
-            t_new = t + dt
-
-            new_solution, converged, iterations, residual = _newton_transient(
-                circuit, states, solution, t_new, dt, method, temperature,
-                _TRANSIENT_GMIN, max_newton_iterations, newton_tolerance,
-                damping, stamper=stamper)
-            n_newton += iterations
-            if not converged:
-                n_rejected += 1
-                dt *= 0.25
-                if dt < dt_min:
-                    raise _fail(
-                        f"transient Newton iteration of {circuit.title!r} "
-                        f"failed at t={t_new:.3e}s with dt={dt:.3e}s after "
-                        f"{iterations} iterations (residual={residual:.3e})")
-                continue
-
-            # Local-truncation-error estimate from divided differences of the
-            # accepted history plus the candidate point.  BE error ~
-            # (dt^2/2) v'' with v'' ~ 2*DD2; trapezoidal error ~ (dt^3/12)
-            # v''' with v''' ~ 6*DD3.
-            error_ratio = None
-            if len(history) >= 2:
-                order = 3 if method == "trap" else 2
-                sample = history[-order:] + [(t_new, new_solution)]
-                dd = _divided_difference([s[0] for s in sample],
-                                         [s[1][:n_nodes] for s in sample])
-                lte = (0.5 * dt**3 * np.abs(dd) if method == "trap"
-                       else dt**2 * np.abs(dd))
-                tolerance = (reltol * np.maximum(
-                    np.abs(new_solution[:n_nodes]),
-                    np.abs(solution[:n_nodes])) + abstol)
-                error_ratio = float(np.max(lte / tolerance))
-                if error_ratio > 1.0:
-                    n_rejected += 1
-                    dt *= max(0.1, 0.9 * error_ratio ** (-1.0 / order))
-                    if dt < dt_min:
-                        raise _fail(
-                            f"transient timestep of {circuit.title!r} "
-                            f"underflowed at t={t_new:.3e}s (LTE never "
-                            f"satisfied) ({n_accepted} accepted, "
-                            f"{n_rejected} rejected)")
-                    continue
-
-            circuit.commit_transient(new_solution, states, dt, temperature)
-            if dt < dt_smallest:
-                dt_smallest = dt
-            if dt > dt_largest:
-                dt_largest = dt
-            t = t_new
-            solution = new_solution
-            n_accepted += 1
-            times.append(t)
-            solutions.append(solution.copy())
-            history.append((t, solution.copy()))
-            if len(history) > 3:
-                history.pop(0)
-
-            if hit_break:
-                # Restart integration behind the corner: BE, small steps, and
-                # an LTE history that does not bridge the discontinuity.
-                history = [(t, solution.copy())]
-                dt = min(dt_initial, dt_max)
-            elif error_ratio is None:
-                dt = min(dt * 2.0, dt_max)
-            else:
-                order = 3 if method == "trap" else 2
-                factor = 0.9 * max(error_ratio, 1e-10) ** (-1.0 / order)
-                dt = min(dt * min(2.0, max(0.3, factor)), dt_max)
-
-    stats = SolveStats(
-        analysis="transient", converged=True, iterations=n_newton,
-        n_accepted=n_accepted, n_rejected=n_rejected,
-        final_residual=residual, final_gmin=_TRANSIENT_GMIN,
-        dt_min=dt_smallest if n_accepted else float("nan"),
-        dt_max=dt_largest if n_accepted else float("nan"))
+    design = _TranDesign(0, circuit, temperature)
+    controller.start(design, operating_point)
+    with telemetry.span("spice.transient", circuit=circuit.title):
+        controller.run([design], _TranScalarAssembler(design))
+    stats = _tran_stats(design)
     telemetry.record_solve(stats)
-    times_array = np.array(times)
-    stacked = np.stack(solutions, axis=0)
-    responses: dict[str, np.ndarray] = {}
-    for node in observed:
-        index = circuit.node_index(node)
-        responses[node] = (np.zeros(times_array.shape[0]) if index < 0
-                           else stacked[:, index].copy())
-    return TransientResult(times=times_array, node_voltages=responses,
-                           n_accepted=n_accepted, n_rejected=n_rejected,
-                           n_newton_iterations=n_newton, stats=stats)
+    if design.error is not None:
+        raise design.error
+    return _tran_result(design, observed, stats)
 
 
 # --------------------------------------------------------------------- #
@@ -509,59 +362,28 @@ def transient_operating_point_batch(circuits, temperature=27.0,
                                     ) -> list[OperatingPoint]:
     """Batched :func:`transient_operating_point`.
 
-    Every waveform source in every circuit is held at its t = 0 value while
-    :func:`repro.spice.dc.dc_operating_point_batch` solves the whole batch;
-    the ``dc`` attributes are restored afterwards.  ``temperature`` may be a
-    scalar or a length-``B`` array.
+    ``temperature`` may be a scalar or a length-``B`` array.
     """
     circuits = list(circuits)
-    overridden = []
-    try:
-        for circuit in circuits:
-            for device in circuit.devices:
-                waveform = getattr(device, "waveform", None)
-                if waveform is not None:
-                    overridden.append((device, device.dc))
-                    device.dc = waveform.value_at(0.0)
+    with _sources_at_t0(circuits):
         return dc_operating_point_batch(circuits, temperature=temperature)
-    finally:
-        for device, dc in overridden:
-            device.dc = dc
 
 
-class _TranBatchAssembler:
+class _TranBatchAssembler(_ColumnAssembler):
     """Assembles the batched companion-model system for active designs.
 
-    Transient analogue of :class:`repro.spice.dc._BatchAssembler`: the batch
-    is transposed into per-device sibling columns, each device's vectorized
-    ``transient_batch_context`` is precomputed over the *full* batch, and
-    arbitrary in-flight subsets stamp by slicing those contexts row-wise.
-    The :class:`BatchStamper` is cached across Newton iterations and
-    reallocated only when the in-flight batch size changes.
+    Transient analogue of :class:`repro.spice.dc._BatchAssembler`: each
+    device's vectorized ``transient_batch_context`` is precomputed over the
+    *full* batch, and arbitrary in-flight subsets stamp by slicing those
+    contexts row-wise.
     """
-
-    #: Gather memo bound: distinct active sets over a transient run scale
-    #: with the number of designs finishing, not with iteration count, so
-    #: the cache normally never fills; the cap only guards pathological
-    #: churn.
-    _GATHER_CACHE_MAX = 128
 
     def __init__(self, circuits: list[Circuit], temperatures: np.ndarray,
                  states_by_design: list):
-        first = circuits[0]
-        self.n_nodes = first.n_nodes
-        self.n_branches = first.n_branches
-        self.size = self.n_nodes + self.n_branches
-        self.temperatures = temperatures
-        # Telemetry counters, mirroring the DC assembler's.
-        self.total_designs = len(circuits)
-        self.assemblies = 0
-        self.active_rows = 0
-        self.columns = [tuple(circuit.devices[position] for circuit in circuits)
-                        for position in range(len(first.devices))]
+        super().__init__(circuits, temperatures)
         self.contexts = [column[0].transient_batch_context(list(column),
                                                           temperatures)
-                        for column in self.columns]
+                         for column in self.columns]
         # Per-column list of per-design state dicts (references -- commits
         # mutate them in place).  Designs whose initial condition failed
         # carry None; they never enter the active set, so the placeholder is
@@ -571,84 +393,61 @@ class _TranBatchAssembler:
              else states_by_design[b][column[0].name]
              for b in range(len(circuits))]
             for column in self.columns]
-        self._gather_cache: dict[bytes, tuple] = {}
-        self._stamper: BatchStamper | None = None
+        self._indices = self._times = self._dts = self._trap = None
 
-    def _gather(self, indices: np.ndarray) -> tuple:
-        key = indices.tobytes()
-        cached = self._gather_cache.get(key)
-        if cached is None:
-            if len(self._gather_cache) >= self._GATHER_CACHE_MAX:
-                self._gather_cache.clear()
-            index_list = indices.tolist()
-            siblings = [[column[i] for i in index_list]
-                        for column in self.columns]
-            contexts = [None if context is None
-                        else {name: values[indices]
-                              for name, values in context.items()}
-                        for context in self.contexts]
-            states = [[column[i] for i in index_list]
-                      for column in self.column_states]
-            temperatures = self.temperatures[indices]
-            cached = (siblings, contexts, states, temperatures)
-            self._gather_cache[key] = cached
-        return cached
+    def _gather_extra(self, indices: np.ndarray, index_list: list) -> list:
+        return [[column[i] for i in index_list]
+                for column in self.column_states]
 
-    @property
-    def occupancy(self) -> float:
-        """Mean fraction of the batch in flight per assembled iteration."""
-        if not self.assemblies:
-            return float("nan")
-        return self.active_rows / (self.assemblies * self.total_designs)
+    def assemble(self, active: list, voltages: np.ndarray, changed: bool):
+        """Stamp the in-flight designs ``active`` at their Newton iterates.
 
-    def assemble(self, indices: np.ndarray, voltages: np.ndarray,
-                 times: np.ndarray, dts: np.ndarray, trap: np.ndarray):
-        """Stamp the in-flight designs ``indices`` at their Newton iterates."""
-        batch_size = len(indices)
-        self.assemblies += 1
-        self.active_rows += batch_size
-        stamper = self._stamper
-        if stamper is None or stamper.batch_size != batch_size:
-            stamper = BatchStamper(batch_size, self.n_nodes, self.n_branches)
-            self._stamper = stamper
-        else:
-            stamper.reset()
-        siblings, contexts, states, temperatures = self._gather(indices)
+        The per-design index, time, timestep and integration-method arrays
+        are rebuilt only when ``changed`` says a design began a new step
+        attempt or left the batch since the last call.
+        """
+        if changed:
+            self._indices = np.array([d.index for d in active])
+            self._times = np.array([d.t_new for d in active])
+            self._dts = np.array([d.dt for d in active])
+            self._trap = np.array([d.method == "trap" for d in active])
+        indices = self._indices
+        stamper = self._reset_stamper(len(indices))
+        siblings, contexts, temperatures, states = self._gather(indices)
         # One errstate frame for the whole stamp loop, like the DC assembler.
         with np.errstate(over="ignore", invalid="ignore"):
             for position, column in enumerate(self.columns):
                 column[0].stamp_transient_batch(
                     stamper, siblings[position], voltages, states[position],
-                    times, dts, trap, temperatures, contexts[position])
-        # The serial sweep always applies _TRANSIENT_GMIN, so this stamp is
-        # unconditional.
+                    self._times, self._dts, self._trap, temperatures,
+                    contexts[position])
+        # The scalar contract always applies _TRANSIENT_GMIN, so this stamp
+        # is unconditional.
         stamper.add_gmin(_TRANSIENT_GMIN)
         return stamper
 
 
-def _solve_rows_transient(stamper, size: int, errors: list) -> np.ndarray:
-    """Per-design transient solve fallback after a singular stacked solve.
+class _TranScalarAssembler(_ScalarAssembler):
+    """Assembles a batch of one through the scalar ``stamp_transient`` contract.
 
-    Replicates the serial chain per design: direct solve, then
-    least-squares.  Serially a least-squares failure would propagate out of
-    the analysis; here it is recorded in ``errors`` (aligned with the active
-    designs) and the row is left NaN for the finite check to catch.
+    The transient analogue of :class:`repro.spice.dc._ScalarAssembler`.
     """
-    out = np.empty((stamper.batch_size, size))
-    for b in range(stamper.batch_size):
-        try:
-            out[b] = stamper.solve_design(b)
-        except np.linalg.LinAlgError:
-            try:
-                out[b] = stamper.solve_lstsq_design(b)
-            except np.linalg.LinAlgError as exc:
-                errors[b] = exc
-                out[b] = np.nan
-    return out
+
+    def __init__(self, design: "_TranDesign"):
+        super().__init__(design.circuit, design.temperature)
+        self.design = design
+
+    def assemble(self, active: list, voltages: np.ndarray, changed: bool):
+        self.assemblies += 1
+        d = self.design
+        d.circuit.stamp_transient(voltages[0], d.states, d.t_new, d.dt,
+                                  d.method, d.temperature,
+                                  gmin=_TRANSIENT_GMIN, stamper=self.view)
+        return self.stamper
 
 
 class _TranDesign:
-    """Controller state of one design inside a batched transient sweep."""
+    """Controller state of one design inside a transient sweep."""
 
     __slots__ = ("index", "circuit", "temperature", "states", "t", "dt",
                  "solution", "times", "solutions", "history", "breakpoints",
@@ -685,6 +484,230 @@ class _TranDesign:
         self.error: Exception | None = None
 
 
+class _TranController:
+    """The adaptive timestep controller, run over any number of designs.
+
+    Every design keeps its own time, timestep, BE/trap switching, LTE
+    accept/reject decisions and breakpoint schedule; :meth:`run` batches the
+    Newton iterations of all in-flight designs into one assembly and one
+    stacked solve.  A design's decisions depend only on its own iterates,
+    so its result does not depend on the batch it runs in.
+    """
+
+    def __init__(self, t_stop: float, dt_initial, dt_min, dt_max,
+                 reltol: float, abstol: float, newton_tolerance: float,
+                 max_newton_iterations: int, damping: float, max_steps: int):
+        self.t_stop = t_stop
+        self.dt_initial = (t_stop * 1e-4 if dt_initial is None
+                           else float(dt_initial))
+        self.dt_min = t_stop * 1e-12 if dt_min is None else float(dt_min)
+        self.dt_max = t_stop / 50.0 if dt_max is None else float(dt_max)
+        self.reltol = reltol
+        self.abstol = abstol
+        self.newton_tolerance = newton_tolerance
+        self.max_newton_iterations = max_newton_iterations
+        self.damping = damping
+        self.max_steps = max_steps
+        self.eps = t_stop * 1e-12
+
+    def start(self, d: _TranDesign, operating_point: OperatingPoint) -> None:
+        """Initialise design ``d`` from its DC initial condition."""
+        d.states = d.circuit.init_transient_states(operating_point,
+                                                   d.temperature)
+        d.solution = operating_point.voltages.copy()
+        d.solutions = [d.solution.copy()]
+        # Accepted (t, solution) history for the divided-difference LTE
+        # estimate; reset at every breakpoint so the estimate never spans a
+        # discontinuity.
+        d.history = [(0.0, d.solution.copy())]
+        d.breakpoints = _collect_breakpoints(d.circuit, self.t_stop)
+        d.dt = min(self.dt_initial, self.dt_max, d.breakpoints[0])
+
+    def begin_attempt(self, d: _TranDesign) -> None:
+        """Set up design ``d``'s next step attempt (or fail on max_steps)."""
+        if d.n_accepted + d.n_rejected >= self.max_steps:
+            d.error = ConvergenceError(
+                f"transient analysis of {d.circuit.title!r} exceeded "
+                f"{self.max_steps} steps at t={d.t:.3e}s "
+                f"({d.n_accepted} accepted, {d.n_rejected} rejected)")
+            return
+        eps = self.eps
+        while d.breakpoints[d.next_break] <= d.t + eps:
+            d.next_break += 1
+        d.dt = min(d.dt, self.dt_max, self.t_stop - d.t)
+        d.hit_break = d.t + d.dt >= d.breakpoints[d.next_break] - eps
+        if d.hit_break:
+            d.dt = d.breakpoints[d.next_break] - d.t
+        # Backward Euler until three accepted points exist past the last
+        # breakpoint, trapezoidal afterwards.
+        d.method = "be" if len(d.history) < 3 else "trap"
+        d.t_new = d.t + d.dt
+        # The solver owns the reserved "time"/"method" state keys; they are
+        # fixed for the whole attempt.
+        for state in d.states.values():
+            state["time"] = d.t_new
+            state["method"] = d.method
+        d.iterate = d.solution.copy()
+        d.attempt_iterations = 0
+        d.attempt_residual = float("nan")
+
+    def finish_attempt(self, d: _TranDesign, converged: bool) -> None:
+        """Accept or reject design ``d``'s attempt and pick the next step."""
+        new_solution = d.iterate
+        if not converged:
+            d.n_rejected += 1
+            d.dt *= 0.25
+            if d.dt < self.dt_min:
+                d.error = ConvergenceError(
+                    f"transient Newton iteration of {d.circuit.title!r} "
+                    f"failed at t={d.t_new:.3e}s with dt={d.dt:.3e}s after "
+                    f"{d.attempt_iterations} iterations "
+                    f"(residual={d.attempt_residual:.3e})")
+                return
+            self.begin_attempt(d)
+            return
+        # Local-truncation-error estimate from divided differences of the
+        # accepted history plus the candidate point.  BE error ~
+        # (dt^2/2) v'' with v'' ~ 2*DD2; trapezoidal error ~ (dt^3/12)
+        # v''' with v''' ~ 6*DD3.
+        n_nodes = d.circuit.n_nodes
+        error_ratio = None
+        if len(d.history) >= 2:
+            order = 3 if d.method == "trap" else 2
+            sample = d.history[-order:] + [(d.t_new, new_solution)]
+            dd = _divided_difference([s[0] for s in sample],
+                                     [s[1][:n_nodes] for s in sample])
+            lte = (0.5 * d.dt**3 * np.abs(dd) if d.method == "trap"
+                   else d.dt**2 * np.abs(dd))
+            tolerance = (self.reltol * np.maximum(
+                np.abs(new_solution[:n_nodes]), np.abs(d.solution[:n_nodes]))
+                + self.abstol)
+            error_ratio = float(np.max(lte / tolerance))
+            if error_ratio > 1.0:
+                d.n_rejected += 1
+                d.dt *= max(0.1, 0.9 * error_ratio ** (-1.0 / order))
+                if d.dt < self.dt_min:
+                    d.error = ConvergenceError(
+                        f"transient timestep of {d.circuit.title!r} "
+                        f"underflowed at t={d.t_new:.3e}s (LTE never "
+                        f"satisfied) ({d.n_accepted} accepted, "
+                        f"{d.n_rejected} rejected)")
+                    return
+                self.begin_attempt(d)
+                return
+
+        d.circuit.commit_transient(new_solution, d.states, d.dt,
+                                   d.temperature)
+        if d.dt < d.dt_smallest:
+            d.dt_smallest = d.dt
+        if d.dt > d.dt_largest:
+            d.dt_largest = d.dt
+        d.t = d.t_new
+        d.solution = new_solution
+        d.n_accepted += 1
+        d.times.append(d.t)
+        d.solutions.append(d.solution.copy())
+        d.history.append((d.t, d.solution.copy()))
+        if len(d.history) > 3:
+            d.history.pop(0)
+
+        if d.hit_break:
+            # Restart integration behind the corner: BE, small steps, and
+            # an LTE history that does not bridge the discontinuity.
+            d.history = [(d.t, d.solution.copy())]
+            d.dt = min(self.dt_initial, self.dt_max)
+        elif error_ratio is None:
+            d.dt = min(d.dt * 2.0, self.dt_max)
+        else:
+            order = 3 if d.method == "trap" else 2
+            factor = 0.9 * max(error_ratio, 1e-10) ** (-1.0 / order)
+            d.dt = min(d.dt * min(2.0, max(0.3, factor)), self.dt_max)
+
+        if d.t < self.t_stop - self.eps:
+            self.begin_attempt(d)
+        else:
+            d.finished = True
+
+    def run(self, designs: list, assembler) -> None:
+        """Step every started design to ``t_stop`` or to its error."""
+        for d in designs:
+            if d.error is None:
+                self.begin_attempt(d)
+        active = [d for d in designs if d.error is None and not d.finished]
+        damping = self.damping
+        changed = True
+        while active:
+            # Unless a design began a new attempt or left, every iterate is
+            # the previous pass's damped step: reuse that array as it is.
+            if changed:
+                voltages = np.stack([d.iterate for d in active])
+            stamper = assembler.assemble(active, voltages, changed)
+            solve_errors = None
+            try:
+                new_voltages = stamper.solve()
+            except np.linalg.LinAlgError:
+                solve_errors = [None] * len(active)
+                new_voltages = _solve_rows_individually(
+                    stamper, assembler.size, solve_errors)
+            finite = np.isfinite(new_voltages).all(axis=1)
+            delta = new_voltages - voltages
+            residuals = np.abs(delta).max(axis=1)
+            # np.clip's semantics in two bare ufunc calls (NaN propagates).
+            voltages = voltages + np.minimum(np.maximum(delta, -damping),
+                                             damping)
+            changed = False
+            still_active = []
+            for i, d in enumerate(active):
+                d.attempt_iterations += 1
+                d.n_newton += 1
+                if solve_errors is not None and solve_errors[i] is not None:
+                    d.error = solve_errors[i]
+                elif not finite[i]:
+                    # Bail without applying the update (and without
+                    # refreshing the attempt residual).
+                    self.finish_attempt(d, False)
+                else:
+                    d.iterate = voltages[i]
+                    d.attempt_residual = float(residuals[i])
+                    if d.attempt_residual < self.newton_tolerance:
+                        self.finish_attempt(d, True)
+                    elif d.attempt_iterations >= self.max_newton_iterations:
+                        self.finish_attempt(d, False)
+                    else:
+                        still_active.append(d)
+                        continue
+                changed = True
+                if d.error is None and not d.finished:
+                    still_active.append(d)
+            active = still_active
+
+
+def _tran_stats(d: _TranDesign, **batch) -> SolveStats:
+    """Design ``d``'s :class:`SolveStats`; ``batch`` adds the batch-only fields."""
+    accepted = d.error is None and d.n_accepted > 0
+    return SolveStats(
+        analysis="transient", converged=d.error is None, iterations=d.n_newton,
+        n_accepted=d.n_accepted, n_rejected=d.n_rejected,
+        final_residual=d.attempt_residual, final_gmin=_TRANSIENT_GMIN,
+        dt_min=d.dt_smallest if accepted else float("nan"),
+        dt_max=d.dt_largest if accepted else float("nan"), **batch)
+
+
+def _tran_result(d: _TranDesign, observed: list[str],
+                 stats: SolveStats) -> TransientResult:
+    """Design ``d``'s accepted waveforms at the ``observed`` nodes."""
+    times = np.array(d.times)
+    stacked = np.stack(d.solutions, axis=0)
+    responses: dict[str, np.ndarray] = {}
+    for node in observed:
+        index = d.circuit.node_index(node)
+        responses[node] = (np.zeros(times.shape[0]) if index < 0
+                           else stacked[:, index].copy())
+    return TransientResult(times=times, node_voltages=responses,
+                           n_accepted=d.n_accepted, n_rejected=d.n_rejected,
+                           n_newton_iterations=d.n_newton, stats=stats)
+
+
 def transient_analysis_batch(circuits, t_stop: float,
                              observe: list[str] | None = None,
                              temperature=None,
@@ -700,7 +723,7 @@ def transient_analysis_batch(circuits, t_stop: float,
                              return_errors: bool = False) -> list:
     """Transient analysis of ``B`` topology-identical circuits at once.
 
-    Each design runs the exact serial timestep controller -- its own time,
+    Each design runs its own timestep controller -- its own time,
     timestep, BE/trap switching, LTE accept/reject decisions and breakpoint
     schedule -- but the Newton solves of all in-flight designs are batched:
     one stacked assembly and solve per iteration.  Designs step
@@ -717,7 +740,7 @@ def transient_analysis_batch(circuits, t_stop: float,
         to each supplied operating point's temperature (27 when the initial
         conditions are solved here).  Per design, a value disagreeing with a
         supplied operating point raises :class:`ValueError`, exactly like
-        the serial driver.
+        :func:`transient_analysis`.
     operating_points:
         Pre-computed initial conditions, one per circuit; by default
         :func:`transient_operating_point_batch` solves them.
@@ -754,12 +777,7 @@ def transient_analysis_batch(circuits, t_stop: float,
         else:
             temperatures = np.full(batch_size, 27.0)
     else:
-        temperatures = np.asarray(temperature, dtype=float)
-        if temperatures.ndim == 0:
-            temperatures = np.full(batch_size, float(temperatures))
-        elif temperatures.shape != (batch_size,):
-            raise ValueError(f"temperature must be a scalar or have shape "
-                             f"({batch_size},), got {temperatures.shape}")
+        temperatures = _batch_temperatures(temperature, batch_size)
         if operating_points is not None:
             for celsius, op in zip(temperatures, operating_points):
                 _check_op_temperature(celsius, op)
@@ -768,209 +786,38 @@ def transient_analysis_batch(circuits, t_stop: float,
                                                            temperatures)
 
     observed = list(observe) if observe is not None else first.nodes
-    dt_initial = t_stop * 1e-4 if dt_initial is None else float(dt_initial)
-    dt_min = t_stop * 1e-12 if dt_min is None else float(dt_min)
-    dt_max = t_stop / 50.0 if dt_max is None else float(dt_max)
-    n_nodes = first.n_nodes
-    eps = t_stop * 1e-12
-
+    controller = _TranController(t_stop, dt_initial, dt_min, dt_max, reltol,
+                                 abstol, newton_tolerance,
+                                 max_newton_iterations, damping, max_steps)
     designs = [_TranDesign(b, circuit, float(temperatures[b]))
                for b, circuit in enumerate(circuits)]
-    states_by_design: list = [None] * batch_size
     for d, op in zip(designs, operating_points):
-        if not op.converged:
+        if op.converged:
+            controller.start(d, op)
+        else:
             d.error = ConvergenceError(
                 _initial_condition_message(d.circuit.title, op))
-            continue
-        d.states = d.circuit.init_transient_states(op, d.temperature)
-        states_by_design[d.index] = d.states
-        d.solution = op.voltages.copy()
-        d.solutions = [d.solution.copy()]
-        d.history = [(0.0, d.solution.copy())]
-        d.breakpoints = _collect_breakpoints(d.circuit, t_stop)
-        d.dt = min(dt_initial, dt_max, d.breakpoints[0])
-
-    assembler = _TranBatchAssembler(circuits, temperatures, states_by_design)
-
-    def _begin_attempt(d: _TranDesign) -> None:
-        """Serial loop-top bookkeeping for one design's next step attempt."""
-        if d.n_accepted + d.n_rejected >= max_steps:
-            d.error = ConvergenceError(
-                f"transient analysis of {d.circuit.title!r} exceeded "
-                f"{max_steps} steps at t={d.t:.3e}s "
-                f"({d.n_accepted} accepted, {d.n_rejected} rejected)")
-            return
-        while d.breakpoints[d.next_break] <= d.t + eps:
-            d.next_break += 1
-        d.dt = min(d.dt, dt_max, t_stop - d.t)
-        d.hit_break = d.t + d.dt >= d.breakpoints[d.next_break] - eps
-        if d.hit_break:
-            d.dt = d.breakpoints[d.next_break] - d.t
-        d.method = "be" if len(d.history) < 3 else "trap"
-        d.t_new = d.t + d.dt
-        # The serial stamp loop injects time/method into every device state
-        # on each Newton iteration with these exact values; once per attempt
-        # is observationally identical.
-        for state in d.states.values():
-            state["time"] = d.t_new
-            state["method"] = d.method
-        d.iterate = d.solution.copy()
-        d.attempt_iterations = 0
-        d.attempt_residual = float("nan")
-
-    def _finish_attempt(d: _TranDesign, converged: bool) -> None:
-        """The serial post-Newton controller for one design's attempt."""
-        new_solution = d.iterate
-        if not converged:
-            d.n_rejected += 1
-            d.dt *= 0.25
-            if d.dt < dt_min:
-                d.error = ConvergenceError(
-                    f"transient Newton iteration of {d.circuit.title!r} "
-                    f"failed at t={d.t_new:.3e}s with dt={d.dt:.3e}s after "
-                    f"{d.attempt_iterations} iterations "
-                    f"(residual={d.attempt_residual:.3e})")
-                return
-            _begin_attempt(d)
-            return
-        error_ratio = None
-        if len(d.history) >= 2:
-            order = 3 if d.method == "trap" else 2
-            sample = d.history[-order:] + [(d.t_new, new_solution)]
-            dd = _divided_difference([s[0] for s in sample],
-                                     [s[1][:n_nodes] for s in sample])
-            lte = (0.5 * d.dt**3 * np.abs(dd) if d.method == "trap"
-                   else d.dt**2 * np.abs(dd))
-            tolerance = (reltol * np.maximum(np.abs(new_solution[:n_nodes]),
-                                             np.abs(d.solution[:n_nodes]))
-                         + abstol)
-            error_ratio = float(np.max(lte / tolerance))
-            if error_ratio > 1.0:
-                d.n_rejected += 1
-                d.dt *= max(0.1, 0.9 * error_ratio ** (-1.0 / order))
-                if d.dt < dt_min:
-                    d.error = ConvergenceError(
-                        f"transient timestep of {d.circuit.title!r} "
-                        f"underflowed at t={d.t_new:.3e}s (LTE never "
-                        f"satisfied) ({d.n_accepted} accepted, "
-                        f"{d.n_rejected} rejected)")
-                    return
-                _begin_attempt(d)
-                return
-
-        d.circuit.commit_transient(new_solution, d.states, d.dt,
-                                   d.temperature)
-        if d.dt < d.dt_smallest:
-            d.dt_smallest = d.dt
-        if d.dt > d.dt_largest:
-            d.dt_largest = d.dt
-        d.t = d.t_new
-        d.solution = new_solution
-        d.n_accepted += 1
-        d.times.append(d.t)
-        d.solutions.append(d.solution.copy())
-        d.history.append((d.t, d.solution.copy()))
-        if len(d.history) > 3:
-            d.history.pop(0)
-
-        if d.hit_break:
-            d.history = [(d.t, d.solution.copy())]
-            d.dt = min(dt_initial, dt_max)
-        elif error_ratio is None:
-            d.dt = min(d.dt * 2.0, dt_max)
-        else:
-            order = 3 if d.method == "trap" else 2
-            factor = 0.9 * max(error_ratio, 1e-10) ** (-1.0 / order)
-            d.dt = min(d.dt * min(2.0, max(0.3, factor)), dt_max)
-
-        if d.t < t_stop - eps:
-            _begin_attempt(d)
-        else:
-            d.finished = True
-
-    for d in designs:
-        if d.error is None:
-            _begin_attempt(d)
-    active = [d for d in designs if d.error is None and not d.finished]
+    assembler = (_TranScalarAssembler(designs[0]) if batch_size == 1
+                 else _TranBatchAssembler(circuits, temperatures,
+                                          [d.states for d in designs]))
 
     with telemetry.span("spice.transient_batch", batch=batch_size,
                         circuit=first.title):
-        while active:
-            indices = np.array([d.index for d in active])
-            voltages = np.stack([d.iterate for d in active])
-            times = np.array([d.t_new for d in active])
-            dts = np.array([d.dt for d in active])
-            trap = np.array([d.method == "trap" for d in active])
-            stamper = assembler.assemble(indices, voltages, times, dts, trap)
-            solve_errors: list = [None] * len(active)
-            try:
-                new_voltages = stamper.solve()
-            except np.linalg.LinAlgError:
-                new_voltages = _solve_rows_transient(stamper, assembler.size,
-                                                     solve_errors)
-            finite = np.isfinite(new_voltages).all(axis=1)
-            delta = new_voltages - voltages
-            step = np.clip(delta, -damping, damping)
-            still_active = []
-            for i, d in enumerate(active):
-                d.attempt_iterations += 1
-                d.n_newton += 1
-                if solve_errors[i] is not None:
-                    d.error = solve_errors[i]
-                elif not finite[i]:
-                    # Serial bails without applying the update (and without
-                    # refreshing the attempt residual).
-                    _finish_attempt(d, False)
-                else:
-                    d.iterate = voltages[i] + step[i]
-                    d.attempt_residual = float(np.max(np.abs(delta[i])))
-                    if d.attempt_residual < newton_tolerance:
-                        _finish_attempt(d, True)
-                    elif d.attempt_iterations >= max_newton_iterations:
-                        _finish_attempt(d, False)
-                if d.error is None and not d.finished:
-                    still_active.append(d)
-            active = still_active
+        controller.run(designs, assembler)
 
     occupancy = assembler.occupancy
-    record = telemetry.enabled()
-    if record:
-        if occupancy == occupancy:  # skip the no-assembly NaN
-            telemetry.observe("repro_batch_occupancy", occupancy,
-                              telemetry.FRACTION_BUCKETS)
+    if occupancy == occupancy:  # skip the no-assembly NaN
+        telemetry.observe("repro_batch_occupancy", occupancy,
+                          telemetry.FRACTION_BUCKETS)
     outcomes: list = []
     for d in designs:
+        stats = _tran_stats(d, batch_size=batch_size,
+                            batch_occupancy=occupancy)
+        telemetry.record_solve(stats)
         if d.error is not None:
-            if record:
-                telemetry.record_solve(SolveStats(
-                    analysis="transient", converged=False,
-                    iterations=d.n_newton, n_accepted=d.n_accepted,
-                    n_rejected=d.n_rejected,
-                    final_residual=d.attempt_residual,
-                    final_gmin=_TRANSIENT_GMIN, batch_size=batch_size,
-                    batch_occupancy=occupancy))
             if not return_errors:
                 raise d.error
             outcomes.append(d.error)
             continue
-        stats = SolveStats(
-            analysis="transient", converged=True, iterations=d.n_newton,
-            n_accepted=d.n_accepted, n_rejected=d.n_rejected,
-            final_residual=d.attempt_residual, final_gmin=_TRANSIENT_GMIN,
-            dt_min=d.dt_smallest if d.n_accepted else float("nan"),
-            dt_max=d.dt_largest if d.n_accepted else float("nan"),
-            batch_size=batch_size, batch_occupancy=occupancy)
-        if record:
-            telemetry.record_solve(stats)
-        times_array = np.array(d.times)
-        stacked = np.stack(d.solutions, axis=0)
-        responses: dict[str, np.ndarray] = {}
-        for node in observed:
-            index = d.circuit.node_index(node)
-            responses[node] = (np.zeros(times_array.shape[0]) if index < 0
-                               else stacked[:, index].copy())
-        outcomes.append(TransientResult(
-            times=times_array, node_voltages=responses,
-            n_accepted=d.n_accepted, n_rejected=d.n_rejected,
-            n_newton_iterations=d.n_newton, stats=stats))
+        outcomes.append(_tran_result(d, observed, stats))
     return outcomes

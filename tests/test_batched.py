@@ -386,11 +386,14 @@ class TestStamperUnits:
         circuit = problem.bench.builders["main"](
             GOOD_DESIGNS["two_stage_opamp"])
 
-        def raise_linalg(self):
+        def raise_linalg(self, *index):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(Stamper, "solve", raise_linalg)
-        monkeypatch.setattr(Stamper, "solve_lstsq", raise_linalg)
+        # The controller's solve chain: stacked solve, then per-design
+        # direct solve, then per-design least squares.
+        monkeypatch.setattr(BatchStamper, "solve", raise_linalg)
+        monkeypatch.setattr(BatchStamper, "solve_design", raise_linalg)
+        monkeypatch.setattr(BatchStamper, "solve_lstsq_design", raise_linalg)
         op = dc_operating_point(circuit, rescue=False)
         assert not op.converged
 
@@ -403,14 +406,15 @@ class TestStamperUnits:
             GOOD_DESIGNS["two_stage_opamp"])
         size = circuit.n_nodes + circuit.n_branches
 
-        def raise_linalg(self):
+        def raise_linalg(self, *index):
             raise np.linalg.LinAlgError("singular")
 
-        def nan_solution(self):
+        def nan_solution(self, index):
             return np.full(size, np.nan)
 
-        monkeypatch.setattr(Stamper, "solve", raise_linalg)
-        monkeypatch.setattr(Stamper, "solve_lstsq", nan_solution)
+        monkeypatch.setattr(BatchStamper, "solve", raise_linalg)
+        monkeypatch.setattr(BatchStamper, "solve_design", raise_linalg)
+        monkeypatch.setattr(BatchStamper, "solve_lstsq_design", nan_solution)
         op = dc_operating_point(circuit, rescue=False)
         assert not op.converged
         assert np.isfinite(op.voltages).all()

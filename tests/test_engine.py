@@ -25,6 +25,7 @@ from repro.engine import (
 from repro.experiments.runner import run_repeated
 from repro.study.spec import SpecError, StudySpec
 from repro.spice import ac_analysis, dc_operating_point
+from repro.spice.ac import _ac_analysis_per_frequency, _ac_analysis_vectorized
 
 
 class PicklableQuadratic(OptimizationProblem):
@@ -339,10 +340,9 @@ class TestVectorizedAC:
             if not op.converged:
                 continue
             frequencies = problem.ac_frequencies
-            fast = ac_analysis(circuit, op, frequencies, observe=["out"],
-                               method="vectorized")
-            slow = ac_analysis(circuit, op, frequencies, observe=["out"],
-                               method="per_frequency")
+            fast = ac_analysis(circuit, op, frequencies, observe=["out"])
+            slow = _ac_analysis_per_frequency(circuit, op, frequencies,
+                                              ["out"])
             scale = np.max(np.abs(slow.response("out")))
             error = np.max(np.abs(fast.response("out") - slow.response("out")))
             assert error <= 1e-9 * max(scale, 1.0)
@@ -358,19 +358,8 @@ class TestVectorizedAC:
         op = dc_operating_point(circuit)
         frequencies = problem.ac_frequencies
         auto = ac_analysis(circuit, op, frequencies, observe=["out"])
-        fast = ac_analysis(circuit, op, frequencies, observe=["out"],
-                           method="vectorized")
+        fast = _ac_analysis_vectorized(circuit, op, frequencies, ["out"])
         np.testing.assert_array_equal(auto.response("out"), fast.response("out"))
-
-    def test_forced_vectorized_rejects_non_affine_devices(self):
-        problem = TwoStageOpAmp("180nm")
-        row = problem.design_space.sample(1, rng=np.random.default_rng(3))[0]
-        circuit = problem.build_circuit(problem.design_space.as_dict(row))
-        op = dc_operating_point(circuit)
-        circuit.devices[0].ac_affine = False
-        with pytest.raises(ValueError, match="requires affine AC stamps"):
-            ac_analysis(circuit, op, problem.ac_frequencies[:4], observe=["out"],
-                        method="vectorized")
 
     def test_non_affine_device_forces_per_frequency(self):
         problem = TwoStageOpAmp("180nm")
@@ -380,8 +369,7 @@ class TestVectorizedAC:
         circuit.devices[0].ac_affine = False
         frequencies = problem.ac_frequencies[:10]
         auto = ac_analysis(circuit, op, frequencies, observe=["out"])
-        slow = ac_analysis(circuit, op, frequencies, observe=["out"],
-                           method="per_frequency")
+        slow = _ac_analysis_per_frequency(circuit, op, frequencies, ["out"])
         np.testing.assert_array_equal(auto.response("out"), slow.response("out"))
 
     def test_secretly_non_affine_stamps_are_caught_by_probe(self):
@@ -411,23 +399,14 @@ class TestVectorizedAC:
                 stamper.add_entry(index, index, 1e-9 * omega ** 2)
 
         circuit.add(QuadraticDevice())
-        reference = ac_analysis(circuit, op, frequencies, observe=["out"],
-                                method="per_frequency")
+        reference = _ac_analysis_per_frequency(circuit, op, frequencies,
+                                               ["out"])
         auto = ac_analysis(circuit, op, frequencies, observe=["out"])
         # The affinity probe must reject extrapolation and fall back to the
         # exact per-frequency solve.
         np.testing.assert_array_equal(auto.response("out"), reference.response("out"))
         with pytest.raises(np.linalg.LinAlgError, match="not affine"):
-            ac_analysis(circuit, op, frequencies, observe=["out"],
-                        method="vectorized")
-
-    def test_unknown_method_rejected(self):
-        problem = TwoStageOpAmp("180nm")
-        row = problem.design_space.sample(1, rng=np.random.default_rng(3))[0]
-        circuit = problem.build_circuit(problem.design_space.as_dict(row))
-        op = dc_operating_point(circuit)
-        with pytest.raises(ValueError, match="unknown AC method"):
-            ac_analysis(circuit, op, method="magic")
+            _ac_analysis_vectorized(circuit, op, frequencies, ["out"])
 
 
 # ---------------------------------------------------------------------- #

@@ -32,6 +32,7 @@ from repro.spice import (
     noise_analysis,
     transient_analysis,
 )
+from repro.spice.ac import _ac_analysis_per_frequency, _ac_analysis_vectorized
 
 
 class TestTransientGolden:
@@ -117,10 +118,10 @@ class TestACGolden:
                 break
         else:
             pytest.fail(f"no converged design found for {name}")
-        vectorized = ac_analysis(circuit, op, self.FREQUENCIES,
-                                 method="vectorized")
-        reference = ac_analysis(circuit, op, self.FREQUENCIES,
-                                method="per_frequency")
+        vectorized = _ac_analysis_vectorized(circuit, op, self.FREQUENCIES,
+                                             circuit.nodes)
+        reference = _ac_analysis_per_frequency(circuit, op, self.FREQUENCIES,
+                                               circuit.nodes)
         for node in circuit.nodes:
             np.testing.assert_allclose(
                 vectorized.response(node), reference.response(node),

@@ -27,6 +27,11 @@ from repro.spice import (
     noise_analysis,
 )
 from repro.spice.devices.base import NoiseSource
+from repro.spice.noise import (
+    _adjoint_per_frequency,
+    _assemble_result,
+    _gather_sources,
+)
 
 K_BOLTZMANN = 1.380649e-23
 Q_ELECTRON = 1.602176634e-19
@@ -150,9 +155,6 @@ class TestNoiseAnalysis:
         circuit = _rc_circuit()
         op = dc_operating_point(circuit)
         with pytest.raises(ValueError):
-            noise_analysis(circuit, op, self.FREQS, output="out",
-                           method="magic")
-        with pytest.raises(ValueError):
             noise_analysis(circuit, op, np.array([0.0, 1.0]), output="out")
         with pytest.raises(ValueError):
             noise_analysis(circuit, op, self.FREQS, output="0")
@@ -160,10 +162,11 @@ class TestNoiseAnalysis:
     def test_vectorized_matches_per_frequency_exactly(self):
         circuit = _rc_circuit()
         op = dc_operating_point(circuit)
-        fast = noise_analysis(circuit, op, self.FREQS, output="out",
-                              method="vectorized")
-        slow = noise_analysis(circuit, op, self.FREQS, output="out",
-                              method="per_frequency")
+        fast = noise_analysis(circuit, op, self.FREQS, output="out")
+        adjoints, rhs = _adjoint_per_frequency(circuit, op, self.FREQS,
+                                               circuit.node_index("out"))
+        slow = _assemble_result(self.FREQS, "out", _gather_sources(circuit, op),
+                                adjoints, rhs)
         np.testing.assert_allclose(fast.output_psd, slow.output_psd,
                                    rtol=1e-12)
         np.testing.assert_allclose(fast.gain, slow.gain, rtol=1e-12)

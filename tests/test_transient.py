@@ -26,6 +26,7 @@ from repro.spice import (
     transient_analysis,
     transient_operating_point,
 )
+from repro.spice.ac import _ac_analysis_per_frequency
 
 EXPERT_DESIGN = {
     "w_diff": 24e-6, "l_diff": 0.6e-6,
@@ -230,8 +231,9 @@ class TestTransientSolver:
         # both solver paths.
         circuit.device("VIN").ac = 1.0
         frequency = np.array([1e6])
-        for method in ("vectorized", "per_frequency"):
-            ac = ac_analysis(circuit, op, frequency, method=method)
+        for ac in (ac_analysis(circuit, op, frequency),
+                   _ac_analysis_per_frequency(circuit, op, frequency,
+                                              circuit.nodes)):
             omega_l = 2 * np.pi * 1e6 * 1e-3
             expected = omega_l / np.hypot(1e3, omega_l)
             assert abs(ac.response("mid")[0]) == pytest.approx(expected, rel=1e-9)
