@@ -5,12 +5,16 @@ package does the same for the simulation side:
 
 * :class:`Testbench` -- a circuit builder (or several netlist variants of
   one design) plus named, declarative analyses
-  (:class:`OPSpec`/:class:`ACSpec`/:class:`TranSpec`/:class:`DCSweepSpec`/
-  :class:`TempSweepSpec`), validity :class:`Check` predicates and
-  :class:`Measure` definitions bound to those analyses;
-* :class:`Simulator` -- the execution session: builds each circuit once,
-  solves each ``(circuit, temperature)`` operating point once and shares it
-  across every dependent analysis, and returns one typed :class:`SimResult`;
+  (:class:`OPSpec`/:class:`ACSpec`/:class:`NoiseSpec`/:class:`TranSpec`/
+  :class:`DCSweepSpec`/:class:`TempSweepSpec`), validity :class:`Check`
+  predicates and :class:`Measure` definitions bound to those analyses;
+* :class:`Simulator` -- the one execution session: builds each circuit
+  once, solves each ``(circuit, temperature)`` operating point once and
+  shares it across every dependent analysis, and returns one typed
+  :class:`SimResult` per design;
+* :class:`BatchSimulator` -- the same session over many structurally
+  identical jobs, with the stacked DC, AC and transient solvers in place of
+  the serial ones; a job that raises becomes a :class:`BatchJobError`;
 * PVT corners -- :class:`CornerSpec` process/temperature/supply conditions,
   :func:`apply_corner` deriving per-corner technology cards, and
   :class:`CornerSweep` fanning a bench across corners through the same
@@ -20,8 +24,8 @@ package does the same for the simulation side:
 
 The circuit problems in :mod:`repro.circuits` declare their testbenches with
 this vocabulary (see ``CircuitSizingProblem.testbench``); their metrics at
-the nominal corner are bit-identical to the legacy imperative paths, which
-the equivalence suite in ``tests/test_bench.py`` enforces.
+the nominal corner are bit-identical to the pre-testbench imperative paths,
+which ``tests/test_bench.py`` keeps as frozen references.
 """
 
 from repro.bench.aggregate import sense_reduce, sigma_metrics, worst_is_low

@@ -36,11 +36,8 @@ from repro.spice import (
     Mosfet,
     Resistor,
     VoltageSource,
-    ac_analysis,
-    dc_operating_point,
 )
 from repro.spice.devices.mosfet import square_law
-from repro.spice.sweep import temperature_coefficient_ppm, temperature_sweep
 
 
 def _bandgap_design_space(technology: Technology) -> DesignSpace:
@@ -188,39 +185,3 @@ class BandgapReference(CircuitSizingProblem):
                 bench.Measure("vref", self._measure_vref),
             ],
             temperature=self.sim_temperature)
-
-    def _legacy_simulate(self, design: dict[str, float]) -> dict[str, float]:
-        """Pre-testbench imperative path, kept as the equivalence reference."""
-        circuit = self.build_circuit(design)
-        # Temperature sweep for the reference voltage and its coefficient.
-        temperatures = self._sweep_grid()
-        try:
-            _, vref_curve, points = temperature_sweep(circuit, temperatures, "vref")
-        except (np.linalg.LinAlgError, KeyError, ValueError):
-            return self.failed_metrics()
-        if not all(p.converged for p in points) or not np.all(np.isfinite(vref_curve)):
-            return self.failed_metrics()
-        room = points[len(points) // 2]
-        if abs(room.voltage("vref")) < 0.05:
-            return self.failed_metrics()
-        tc = temperature_coefficient_ppm(temperatures, vref_curve)
-
-        i_branches = sum(abs(room.device_info[name].get("ids", 0.0))
-                         for name in ("MPA", "MPB", "MPC"))
-        i_total = (i_branches + design["i_amp"]) * 1e6
-
-        # PSRR at 100 Hz: AC gain from the supply to the reference node.
-        psrr_circuit = self.build_circuit(design, supply_ac=1.0)
-        op = dc_operating_point(psrr_circuit)
-        if not op.converged:
-            return self.failed_metrics()
-        ac = ac_analysis(psrr_circuit, op,
-                         frequencies=np.array([10.0, 100.0, 1000.0]), observe=["vref"])
-        supply_gain_db = ac.gain_at("vref", 100.0)
-        psrr_db = -supply_gain_db
-        return {
-            "tc": float(tc),
-            "i_total": float(i_total),
-            "psrr": float(psrr_db),
-            "vref": float(room.voltage("vref")),
-        }

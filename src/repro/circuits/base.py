@@ -57,8 +57,9 @@ def simulate_checked_batch(jobs):
     The vectorised counterpart of calling each problem's
     :meth:`CircuitSizingProblem.simulate_checked` in a loop: every job's
     testbench is handed to one :class:`~repro.bench.BatchSimulator` session,
-    which stacks the structurally-identical operating-point and AC solves
-    across jobs into ``(B, N, N)`` tensor solves.  The jobs may carry
+    which solves the structurally identical jobs' operating points and
+    transients as stacked ``(B, N, N)`` Newton systems; AC sweeps run per
+    design (each already stacked over its frequencies).  The jobs may carry
     *different* problem instances (per-sample mismatch clones, per-corner
     variants) as long as their benches declare the same analyses.
 

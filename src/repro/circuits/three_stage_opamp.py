@@ -19,8 +19,6 @@ bridge design spaces of different sizes (paper section 3.2).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import bench
 from repro.bo.design_space import DesignSpace, DesignVariable
 from repro.bo.problem import Constraint
@@ -32,8 +30,6 @@ from repro.spice import (
     CurrentSource,
     Mosfet,
     VoltageSource,
-    ac_analysis,
-    dc_operating_point,
 )
 
 
@@ -167,27 +163,3 @@ class ThreeStageOpAmp(CircuitSizingProblem):
                 bench.gbw_mhz("ac", "out", name="gbw"),
             ],
             temperature=self.sim_temperature)
-
-    def _legacy_simulate(self, design: dict[str, float]) -> dict[str, float]:
-        """Pre-testbench imperative path, kept as the equivalence reference."""
-        # DC bias point in unity-gain feedback.
-        dc_circuit = self.build_circuit(design, feedback=True)
-        op = dc_operating_point(dc_circuit)
-        if not op.converged:
-            return self.failed_metrics()
-        # Open-loop AC analysis around that bias point (device names match).
-        ac_circuit = self.build_circuit(design, feedback=False)
-        # Total supply current from the VDD source branch of the bias solution.
-        i_total = abs(dc_circuit.device("VDD").branch_current(op.voltages))
-        ac = ac_analysis(ac_circuit, op, self.ac_frequencies, observe=["out"])
-        gain_db = ac.dc_gain_db("out")
-        gbw_hz = ac.unity_gain_frequency("out")
-        pm_deg = ac.phase_margin_degrees("out")
-        if not np.isfinite(gain_db):
-            return self.failed_metrics()
-        return {
-            "i_total": i_total * 1e6,
-            "gain": float(gain_db),
-            "pm": float(pm_deg),
-            "gbw": float(gbw_hz / 1e6),
-        }

@@ -27,7 +27,6 @@ from repro import bench
 from repro.bo.design_space import DesignSpace, DesignVariable
 from repro.bo.problem import Constraint
 from repro.circuits.base import CircuitSizingProblem
-from repro.errors import ConvergenceError
 from repro.pdk import Technology
 from repro.spice import (
     Capacitor,
@@ -38,10 +37,6 @@ from repro.spice import (
     StepWaveform,
     VoltageSource,
     Waveform,
-    ac_analysis,
-    dc_operating_point,
-    transient_analysis,
-    transient_operating_point,
 )
 
 
@@ -221,27 +216,6 @@ class TwoStageOpAmp(CircuitSizingProblem):
             ],
             temperature=self.sim_temperature)
 
-    def _legacy_simulate(self, design: dict[str, float]) -> dict[str, float]:
-        """Pre-testbench imperative path, kept as the equivalence reference."""
-        circuit = self.build_circuit(design)
-        op = dc_operating_point(circuit)
-        if not op.converged:
-            return self.failed_metrics()
-        # Total supply current measured at the VDD source branch.
-        i_total = abs(circuit.device("VDD").branch_current(op.voltages))
-        ac = ac_analysis(circuit, op, self.ac_frequencies, observe=["out"])
-        gain_db = ac.dc_gain_db("out")
-        gbw_hz = ac.unity_gain_frequency("out")
-        pm_deg = ac.phase_margin_degrees("out")
-        if not np.isfinite(gain_db):
-            return self.failed_metrics()
-        return {
-            "i_total": i_total * 1e6,
-            "gain": float(gain_db),
-            "pm": float(pm_deg),
-            "gbw": float(gbw_hz / 1e6),
-        }
-
 
 class TwoStageOpAmpSettling(TwoStageOpAmp):
     """Size the two-stage OpAmp for fast settling in a follower testbench.
@@ -355,35 +329,6 @@ class TwoStageOpAmpSettling(TwoStageOpAmp):
         :class:`TwoStageOpAmp`, whose metrics the settling constraints do
         not reference)."""
         return self.testbench()
-
-    def _legacy_simulate(self, design: dict[str, float]) -> dict[str, float]:
-        """Pre-testbench imperative path, kept as the equivalence reference."""
-        circuit = self.build_follower_circuit(design, self.step_waveform())
-        op = transient_operating_point(circuit)
-        if not op.converged:
-            return self.failed_metrics()
-        i_total = abs(circuit.device("VDD").branch_current(op.voltages))
-        try:
-            result = transient_analysis(
-                circuit, self.t_stop, observe=["out"], operating_point=op,
-                reltol=self.transient_reltol, abstol=self.transient_abstol)
-        except ConvergenceError:
-            return self.failed_metrics()
-        t_edge = self.step_delay
-        initial = result.value_at("out", t_edge)
-        final = result.final_value("out")
-        if abs(final - initial) < 0.5 * self.step_amplitude:
-            return self.failed_metrics()
-        settle = result.settling_time("out", tolerance=self.settle_tolerance,
-                                      t_start=t_edge)
-        if not np.isfinite(settle):
-            settle = self.t_stop - t_edge
-        return {
-            "t_settle": float(settle * 1e6),
-            "slew": float(result.slew_rate("out", t_start=t_edge) * 1e-6),
-            "overshoot": float(result.overshoot_percent("out", t_start=t_edge)),
-            "i_total": float(i_total * 1e6),
-        }
 
     def failed_metrics(self) -> dict[str, float]:
         return {**super().failed_metrics(), "i_total": 1e6}

@@ -16,7 +16,22 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.bench import BatchJobError, BatchSimulator, Simulator
+from repro import telemetry
+from repro.bench import (
+    ACSpec,
+    BatchJobError,
+    BatchSimulator,
+    Check,
+    Measure,
+    MeasurementError,
+    NoiseSpec,
+    OPSpec,
+    Simulator,
+    SimResult,
+    Testbench,
+    TranSpec,
+    gain_db,
+)
 from repro.circuits import make_problem
 from repro.circuits.base import simulate_checked_batch
 from repro.engine import (
@@ -25,14 +40,16 @@ from repro.engine import (
     available_backends,
     resolve_backend,
 )
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, NetlistError
 from repro.mc import MonteCarloConfig, MonteCarloRunner
 from repro.mc.samplers import make_sampler
 from repro.spice import (
     BatchStamper,
+    Capacitor,
     Circuit,
     Resistor,
     Stamper,
+    StepWaveform,
     VoltageSource,
     ac_analysis,
     ac_analysis_batch,
@@ -192,6 +209,111 @@ class TestBatchedAC:
 # ===================================================================== #
 # BatchSimulator vs Simulator                                           #
 # ===================================================================== #
+def _raise_if_exploding(design, exc):
+    if design.get("explode", 0.0) > 0.0:
+        raise exc
+
+
+def _non_converging_two_stage(problem):
+    """A sampled two-stage design whose DC bias does not converge."""
+    rows = problem.design_space.sample(20, rng=np.random.default_rng(0))
+    for row in rows:
+        design = problem.design_space.as_dict(row)
+        if not dc_operating_point(problem.build_circuit(design)).converged:
+            return design
+    raise AssertionError("no non-converging design in the sample")
+
+
+def _failure_case(mode):
+    """``(bench, designs)``: the good design, then one that hits ``mode``."""
+    problem = make_problem("two_stage_opamp")
+    good = GOOD_DESIGNS["two_stage_opamp"]
+    builder = problem.build_circuit
+    analyses = [OPSpec("op"), ACSpec("ac", frequencies=problem.ac_frequencies,
+                                     observe=("out",), op="op")]
+    checks = []
+    measures = [gain_db("ac", "out", name="gain")]
+    designs = [good, {**good, "explode": 1.0}]
+    if mode == "builder_raises":
+        def builder(design):
+            _raise_if_exploding(design, RuntimeError("builder exploded"))
+            return problem.build_circuit(design)
+    elif mode == "check_raises":
+        checks = [Check("ratio is finite",
+                        lambda ctx: 1.0 / (1.0 - ctx.design.get("explode", 0.0)))]
+    elif mode == "measure_raises":
+        def boom(ctx):
+            _raise_if_exploding(ctx.design, RuntimeError("measure exploded"))
+            return 1.0
+        measures.append(Measure("boom", boom))
+    elif mode == "measure_fails":
+        def unmeasurable(ctx):
+            _raise_if_exploding(ctx.design, MeasurementError("no crossing"))
+            return 1.0
+        measures.append(Measure("crossing", unmeasurable))
+    elif mode == "noise_fails":
+        analyses.append(NoiseSpec("noise", frequencies=np.logspace(1, 6, 6),
+                                  output="0", op="op"))
+    elif mode == "noise_raises":
+        analyses.append(NoiseSpec("noise", frequencies=np.logspace(1, 6, 6),
+                                  output="nowhere", op="op"))
+    elif mode == "op_not_converged":
+        designs = [good, _non_converging_two_stage(problem)]
+    elif mode == "ac_bias_not_converged":
+        analyses = [ACSpec("ac", frequencies=problem.ac_frequencies,
+                           observe=("out",))]
+        designs = [good, _non_converging_two_stage(problem)]
+    bench = Testbench(name=f"failure_{mode}", builders={"main": builder},
+                      analyses=analyses, checks=checks, measures=measures)
+    return bench, designs
+
+
+#: (failure mode, how the second job ends: raised or failed SimResult).
+FAILURE_MODES = [
+    ("builder_raises", "raises"),
+    ("check_raises", "raises"),
+    ("measure_raises", "raises"),
+    ("measure_fails", "fails"),
+    ("noise_fails", "fails"),
+    ("noise_raises", "raises"),
+    ("op_not_converged", "fails"),
+    ("ac_bias_not_converged", "fails"),
+]
+
+
+def _ladder(design):
+    """An RC ladder whose section count -- its topology -- is a design value."""
+    n_sections = int(design["n"])
+    circuit = Circuit(f"ladder{n_sections}")
+    circuit.add(VoltageSource("VIN", "n0", "0", dc=0.0, ac=1.0,
+                              waveform=StepWaveform(0.0, 1.0, delay=1e-8,
+                                                    rise_time=1e-9)))
+    for i in range(n_sections):
+        node = "out" if i == n_sections - 1 else f"n{i + 1}"
+        circuit.add(Resistor(f"R{i}", f"n{i}", node, 1e3))
+        circuit.add(Capacitor(f"C{i}", node, "0", 1e-12))
+    return circuit
+
+
+def _ladder_bench():
+    frequencies = np.logspace(5, 9, 9)
+    return Testbench(
+        name="ladder",
+        builders={"main": _ladder},
+        analyses=[
+            OPSpec("op"),
+            ACSpec("ac", frequencies=frequencies, observe=("out",), op="op"),
+            NoiseSpec("noise", frequencies=frequencies, output="out", op="op"),
+            TranSpec("tran", t_stop=1e-7, observe=("out",)),
+        ],
+        measures=[
+            Measure("ac_mag", lambda ctx: float(
+                abs(ctx.result("ac").node_voltages["out"][4]))),
+            Measure("noise", lambda ctx:
+                    ctx.result("noise").integrated_output_noise()),
+            Measure("v_end", lambda ctx: ctx.result("tran").final_value("out")),
+        ])
+
 class TestBatchSimulator:
     @pytest.mark.parametrize("name", ALL_CIRCUITS)
     def test_good_design_bit_identical(self, name):
@@ -239,6 +361,71 @@ class TestBatchSimulator:
         results = simulate_checked_batch(jobs)
         for (problem, design), result in zip(jobs, results):
             assert result == problem.simulate_checked(design)
+
+    @pytest.mark.parametrize("mode,ending", FAILURE_MODES)
+    def test_failure_parity(self, mode, ending):
+        # Serial raises (or fails) with the type and message the batched
+        # session reports per job; a failing job leaves its neighbour alone.
+        bench, designs = _failure_case(mode)
+        batched = BatchSimulator().run([(bench, design) for design in designs])
+        for design, outcome in zip(designs, batched):
+            try:
+                serial = Simulator().run(bench, design)
+            except Exception as exc:  # noqa: BLE001 - compared below
+                assert isinstance(outcome, BatchJobError), (mode, outcome)
+                assert outcome.kind == type(exc).__name__
+                assert outcome.message == f"{type(exc).__name__}: {exc}"
+                continue
+            assert isinstance(outcome, SimResult), (mode, outcome)
+            assert outcome.ok == serial.ok
+            assert outcome.failure == serial.failure
+            assert outcome.metrics == serial.metrics
+            assert outcome.stats == serial.stats
+        if mode.startswith("noise"):
+            # The noise modes hit every job, the good design included.
+            assert isinstance(batched[0], type(batched[1]))
+        else:
+            assert isinstance(batched[0], SimResult) and batched[0].ok
+        if ending == "raises":
+            assert isinstance(batched[1], BatchJobError)
+        else:
+            assert isinstance(batched[1], SimResult) and not batched[1].ok
+
+    def test_crash_counted_alike_in_telemetry(self):
+        bench, designs = _failure_case("builder_raises")
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            with pytest.raises(RuntimeError, match="builder exploded"):
+                Simulator().run(bench, designs[1])
+            serial = telemetry.snapshot()["counters"]
+            telemetry.reset()
+            outcome, = BatchSimulator().run([(bench, designs[1])])
+            batched = telemetry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert isinstance(outcome, BatchJobError)
+        assert serial == batched
+        assert serial["repro_bench_runs_total"] == 1
+        assert serial["repro_bench_failures_total"] == 1
+
+    def test_design_dependent_topology_falls_back_bit_identical(self):
+        bench = _ladder_bench()
+        designs = [{"n": 3.0}, {"n": 5.0}, {"n": 8.0}]
+        # The stacked solvers refuse the mix, so every solver call of the
+        # batched session takes the serial fallback.
+        with pytest.raises(NetlistError):
+            dc_operating_point_batch([_ladder(design) for design in designs])
+        serial = [Simulator().run(bench, design) for design in designs]
+        batched = BatchSimulator().run([(bench, design) for design in designs])
+        for res_serial, res_batched in zip(serial, batched):
+            assert res_serial.ok and res_batched.ok
+            assert res_serial.metrics == res_batched.metrics
+            assert res_serial.stats == res_batched.stats
+            for analysis in ("ac", "tran"):
+                assert np.array_equal(res_serial[analysis].node_voltages["out"],
+                                      res_batched[analysis].node_voltages["out"])
 
 
 # ===================================================================== #
