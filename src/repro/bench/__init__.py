@@ -14,11 +14,12 @@ package does the same for the simulation side:
   :class:`SimResult` per design;
 * :class:`BatchSimulator` -- the same session over many structurally
   identical jobs, with the stacked DC, AC and transient solvers in place of
-  the serial ones; a job that raises becomes a :class:`BatchJobError`;
+  the serial ones; a job that raises becomes a
+  :class:`~repro.engine.SimulationFailure`;
 * PVT corners -- :class:`CornerSpec` process/temperature/supply conditions,
   :func:`apply_corner` deriving per-corner technology cards, and
-  :class:`CornerSweep` fanning a bench across corners through the same
-  execution backends as the batched evaluation engine, with
+  :class:`CornerSweep` fanning a bench across corners through one
+  ``backend.simulate`` call, like the evaluation engine, with
   :func:`worst_case_metrics` folding the per-corner results into the
   robust-sizing worst case.
 
@@ -40,7 +41,6 @@ from repro.bench.analyses import (
     TranSpec,
 )
 from repro.bench.corners import (
-    CornerFailure,
     CornerSpec,
     CornerSweep,
     apply_corner,
@@ -71,7 +71,7 @@ from repro.bench.measures import (
     supply_current_ua,
     tc_ppm,
 )
-from repro.bench.batch import BatchJobError, BatchSimulator
+from repro.bench.batch import BatchSimulator
 from repro.bench.simulator import Simulator
 from repro.bench.testbench import Check, SimResult, Testbench
 
@@ -92,10 +92,8 @@ __all__ = [
     "Testbench",
     "Simulator",
     "BatchSimulator",
-    "BatchJobError",
     "CornerSpec",
     "CornerSweep",
-    "CornerFailure",
     "nominal_corner",
     "standard_corners",
     "apply_corner",

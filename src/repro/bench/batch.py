@@ -20,16 +20,16 @@ controller at any batch size, so each job's
 ``Simulator().run(bench, design)`` exactly.
 
 A job whose execution raises outside the modelled failure modes (builder
-bugs, bad measure code, ...) yields a :class:`BatchJobError` carrying the
-exception's type name and message instead of poisoning the rest of the
-batch; callers translate it back into their serial error handling (see
-:func:`repro.circuits.base.simulate_checked_batch`).
+bugs, bad measure code, ...) yields a
+:class:`~repro.engine.backends.SimulationFailure` carrying the exception's
+type name and message instead of poisoning the rest of the batch -- the
+record every backend's ``simulate`` returns for a raising job (see
+:meth:`repro.engine.backends.BatchedBackend.simulate`).
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from repro import telemetry
 from repro.bench.analyses import ACSpec, NoiseSpec, TranSpec
 from repro.bench.simulator import Simulator, _Job
 from repro.bench.testbench import SimResult
+from repro.engine.backends import SimulationFailure
 from repro.errors import NetlistError
 from repro.spice.ac import ac_analysis_batch
 from repro.spice.dc import dc_operating_point_batch
@@ -45,29 +46,16 @@ from repro.spice.transient import _sources_at_t0, transient_analysis_batch
 __test__ = False
 
 
-@dataclass
-class BatchJobError:
-    """An unmodelled exception that killed one job of a batch.
-
-    ``kind`` is the exception's type name and ``message`` the full
-    ``"TypeName: text"`` string -- the same shape the engine's task-failure
-    bookkeeping uses, so batched and pooled execution classify identically.
-    """
-
-    kind: str
-    message: str
-
-
 class BatchSimulator(Simulator):
     """Execute many structurally identical testbench jobs as one batch."""
 
-    def run(self, jobs) -> list[SimResult | BatchJobError]:
+    def run(self, jobs) -> list[SimResult | SimulationFailure]:
         """Run ``jobs`` -- an iterable of ``(bench, design)`` pairs.
 
         Returns one entry per job, in order: the job's :class:`SimResult`
         (bit-identical to a serial ``Simulator().run``) or a
-        :class:`BatchJobError` when the job raised outside the simulator's
-        modelled failure modes.
+        :class:`~repro.engine.backends.SimulationFailure` when the job
+        raised outside the simulator's modelled failure modes.
         """
         states = [_Job(bench, dict(design)) for bench, design in jobs]
         if not states:
@@ -77,8 +65,7 @@ class BatchSimulator(Simulator):
                             batch=len(states)):
             self._execute(states)
         return [job.result() if job.error is None
-                else BatchJobError(type(job.error).__name__,
-                                   f"{type(job.error).__name__}: {job.error}")
+                else SimulationFailure.from_exception(job.error)
                 for job in states]
 
     def _validate(self, states: list[_Job]) -> None:

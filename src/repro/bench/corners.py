@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bench.aggregate import worst_case_metrics  # noqa: F401  (re-export)
-from repro.engine.backends import BackendOwner, ExecutionBackend
+from repro.engine.backends import (BackendOwner, ExecutionBackend,
+                                   SimulationFailure)
 from repro.pdk import Technology
 
 #: Per-letter process factors: (kp scale, vth shift in volts).  "s" (slow)
@@ -118,28 +119,6 @@ def apply_corner(technology: Technology, corner: CornerSpec) -> Technology:
 # --------------------------------------------------------------------- #
 # backend fan-out                                                        #
 # --------------------------------------------------------------------- #
-@dataclass
-class CornerFailure:
-    """Picklable marker for a corner simulation that raised."""
-
-    corner: str
-    message: str
-
-
-def _simulate_corner_task(task):
-    """Worker entry point: one ``(corner name, problem, design)`` simulation.
-
-    Top-level and total like :func:`repro.engine.evaluate_design_task`: a
-    raising simulation comes back as a :class:`CornerFailure` instead of
-    poisoning the surrounding backend ``map``.
-    """
-    corner_name, problem, design = task
-    try:
-        return problem.simulate(design)
-    except Exception as exc:  # noqa: BLE001 - isolation is the point
-        return CornerFailure(corner_name, f"{type(exc).__name__}: {exc}")
-
-
 class CornerSweep(BackendOwner):
     """Fan one design across per-corner problem variants through a backend.
 
@@ -171,34 +150,19 @@ class CornerSweep(BackendOwner):
             raise ValueError(f"corner names must be unique, got {names}")
 
     def run(self, problems, design: dict[str, float]
-            ) -> list[dict[str, float] | CornerFailure]:
+            ) -> list[dict[str, float] | SimulationFailure]:
         """Simulate ``design`` on each per-corner problem, in corner order.
 
-        On a :class:`~repro.engine.backends.BatchedBackend` the per-corner
-        benches (same topology, different technology cards, temperatures and
-        supplies) are solved in one stacked session through
-        :func:`repro.circuits.base.simulate_checked_batch`, bit-identical to
-        the serial fan-out; otherwise each corner is one ``backend.map`` task.
+        One ``backend.simulate`` call: the batched backend solves the
+        per-corner benches (same topology, different technology cards,
+        temperatures and supplies) in one stacked session, bit-identical
+        to the serial fan-out.
         """
         if len(problems) != len(self.corners):
             raise ValueError(f"expected {len(self.corners)} per-corner "
                              f"problems, got {len(problems)}")
-        if (getattr(self.backend, "batched", False)
-                and all(getattr(problem, "supports_batch_simulation", False)
-                        for problem in problems)):
-            from repro.circuits.base import simulate_checked_batch
-            jobs = [(problem, design) for problem in problems]
-            outcomes: list = []
-            for corner, result in zip(self.corners,
-                                      simulate_checked_batch(jobs)):
-                if isinstance(result, tuple):
-                    outcomes.append(result[0])
-                else:
-                    outcomes.append(CornerFailure(corner.name, result.message))
-            return outcomes
-        tasks = [(corner.name, problem, design)
-                 for corner, problem in zip(self.corners, problems)]
-        return list(self.backend.map(_simulate_corner_task, tasks))
+        return self.backend.simulate([(problem, design)
+                                      for problem in problems])
 
     def __enter__(self) -> "CornerSweep":
         return self

@@ -76,13 +76,13 @@ class OptimizationProblem:
         Threshold constraints on other metrics.
     """
 
-    #: Whether this problem can be simulated through the vectorised batch
-    #: path (``repro.circuits.base.simulate_checked_batch``).  Testbench
-    #: problems opt in -- every analysis kind they declare (operating
-    #: points, AC sweeps and transient step responses alike) now runs
-    #: through the stacked solvers; wrappers that fan out *internally*
-    #: (corner sweeps, Monte Carlo yield) stay False -- their own fan-outs
-    #: batch instead.
+    #: Whether the batched backend's ``simulate``
+    #: (:meth:`repro.engine.BatchedBackend.simulate`) may stack this
+    #: problem's jobs into one testbench session; other jobs go through
+    #: ``problem.simulate`` one at a time.  Testbench problems opt in --
+    #: every analysis kind they declare runs through the stacked solvers;
+    #: wrappers that fan out *internally* (corner sweeps, Monte Carlo yield)
+    #: stay False -- their own ``backend.simulate`` fan-outs batch instead.
     supports_batch_simulation = False
 
     def __init__(self, name: str, design_space: DesignSpace, objective: str,

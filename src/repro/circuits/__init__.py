@@ -36,7 +36,7 @@ changes.
 figure-of-merit objective of Eq. 2 for the Fig. 4 experiments.
 """
 
-from repro.circuits.base import CircuitSizingProblem, simulate_design
+from repro.circuits.base import CircuitSizingProblem
 from repro.circuits.two_stage_opamp import TwoStageOpAmp, TwoStageOpAmpSettling
 from repro.circuits.three_stage_opamp import ThreeStageOpAmp
 from repro.circuits.bandgap import BandgapReference
@@ -101,5 +101,4 @@ __all__ = [
     "make_problem",
     "available_problems",
     "register_problem",
-    "simulate_design",
 ]

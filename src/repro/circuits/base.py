@@ -35,81 +35,6 @@ class VariationBuilder:
         return circuit
 
 
-def simulate_design(problem: "CircuitSizingProblem",
-                    design: dict[str, float]) -> dict[str, float]:
-    """Pure, picklable worker entry point: run one testbench simulation.
-
-    Every circuit problem's :meth:`~CircuitSizingProblem.simulate` is a pure
-    function of the problem's configuration and the named design point -- no
-    hidden mutable state -- so ``(problem, design)`` can be pickled to a
-    process pool and simulated there.  The in-repo engine dispatches the
-    higher-level :func:`repro.engine.evaluate_design_task` (which adds the
-    constraint bookkeeping and failure encoding around ``evaluate``); this
-    wrapper is the minimal metric-level entry point for external
-    distribution frameworks that only want raw simulations.
-    """
-    return problem.simulate(design)
-
-
-def simulate_checked_batch(jobs):
-    """Run many ``(problem, design)`` simulations through one batched solve.
-
-    The vectorised counterpart of calling each problem's
-    :meth:`CircuitSizingProblem.simulate_checked` in a loop: every job's
-    testbench is handed to one :class:`~repro.bench.BatchSimulator` session,
-    which solves the structurally identical jobs' operating points and
-    transients as stacked ``(B, N, N)`` Newton systems; AC sweeps run per
-    design (each already stacked over its frequencies).  The jobs may carry
-    *different* problem instances (per-sample mismatch clones, per-corner
-    variants) as long as their benches declare the same analyses.
-
-    Returns one entry per job, in order: ``(metrics, ok)`` exactly as
-    :meth:`~CircuitSizingProblem.simulate_checked` would produce (pessimised
-    :meth:`~repro.bo.problem.OptimizationProblem.failed_metrics` with
-    ``ok=False`` for failed simulations), or a
-    :class:`~repro.bench.BatchJobError` when the job's simulation *raised* --
-    the batched analogue of the exception a serial ``simulate`` call would
-    have thrown, for the caller's failure isolation to classify.
-
-    Structurally incompatible benches (a :class:`ValueError` from the batch
-    validator) fall back to per-job serial sessions, so this entry point is
-    total over any job mix.
-    """
-    from repro.bench import BatchJobError, BatchSimulator, Simulator
-    results = [None] * len(jobs)
-    prepared = []
-    for index, (problem, design) in enumerate(jobs):
-        try:
-            bench = problem.bench
-        except Exception as exc:  # noqa: BLE001 - mirror serial simulate()
-            results[index] = BatchJobError(
-                type(exc).__name__, f"{type(exc).__name__}: {exc}")
-            continue
-        prepared.append((index, problem, bench, design))
-    if prepared:
-        try:
-            outcomes = BatchSimulator().run(
-                [(bench, design) for _, _, bench, design in prepared])
-        except ValueError:
-            # Mixed bench structures cannot share one batch; serial sessions
-            # per job produce the identical results, just one at a time.
-            outcomes = []
-            for _, _, bench, design in prepared:
-                try:
-                    outcomes.append(Simulator().run(bench, design))
-                except Exception as exc:  # noqa: BLE001
-                    outcomes.append(BatchJobError(
-                        type(exc).__name__, f"{type(exc).__name__}: {exc}"))
-        for (index, problem, _, _), outcome in zip(prepared, outcomes):
-            if isinstance(outcome, BatchJobError):
-                results[index] = outcome
-            elif not outcome.ok:
-                results[index] = (problem.failed_metrics(), False)
-            else:
-                results[index] = (outcome.metrics, True)
-    return results
-
-
 class CircuitSizingProblem(OptimizationProblem):
     """Base class for testbench-backed sizing problems.
 
@@ -127,7 +52,8 @@ class CircuitSizingProblem(OptimizationProblem):
 
     :meth:`simulate` is **pure and picklable**: it builds fresh netlists per
     call and touches no shared state, which is what lets the evaluation
-    engine dispatch designs to worker processes (see :func:`simulate_design`).
+    engine dispatch designs to worker processes (see
+    :func:`repro.engine.simulate_job`).
 
     ``temperature`` is the default analysis temperature (Celsius) for every
     analysis that does not pin its own -- PVT corner variants retarget a
@@ -135,7 +61,8 @@ class CircuitSizingProblem(OptimizationProblem):
     """
 
     #: Testbench problems build one bench per design, which is exactly what
-    #: :func:`simulate_checked_batch` can stack into vectorised solves.
+    #: :meth:`repro.engine.BatchedBackend.simulate` stacks into vectorised
+    #: solves.
     supports_batch_simulation = True
 
     def __init__(self, name: str, technology: str | Technology,

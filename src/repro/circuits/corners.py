@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 
 from repro.bench.corners import (
-    CornerFailure,
     CornerSpec,
     CornerSweep,
     apply_corner,
@@ -34,6 +33,7 @@ from repro.circuits.base import CircuitSizingProblem
 from repro.circuits.ldo import LowDropoutRegulator
 from repro.circuits.three_stage_opamp import ThreeStageOpAmp
 from repro.circuits.two_stage_opamp import TwoStageOpAmp
+from repro.engine.backends import SimulationFailure
 
 
 class CornerSizingProblem(CircuitSizingProblem):
@@ -112,7 +112,7 @@ class CornerSizingProblem(CircuitSizingProblem):
         outcomes = self._sweep.run(self._children, design)
         per_corner = []
         for outcome in outcomes:
-            if isinstance(outcome, CornerFailure):
+            if isinstance(outcome, SimulationFailure):
                 # A corner whose simulation *raised* (rather than returning
                 # pessimised metrics itself) pessimises the whole design.
                 return self.failed_metrics()

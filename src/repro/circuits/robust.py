@@ -30,7 +30,6 @@ from __future__ import annotations
 import hashlib
 
 from repro.bench.corners import (
-    CornerFailure,
     CornerSpec,
     CornerSweep,
     apply_corner,
@@ -42,6 +41,7 @@ from repro.circuits.base import CircuitSizingProblem
 from repro.circuits.ldo import LowDropoutRegulator
 from repro.circuits.montecarlo import YieldSizingProblem
 from repro.circuits.two_stage_opamp import TwoStageOpAmp
+from repro.engine.backends import SimulationFailure
 
 
 def default_robust_corners() -> tuple[CornerSpec, ...]:
@@ -145,7 +145,7 @@ class RobustSizingProblem(CircuitSizingProblem):
         outcomes = self._sweep.run(self._children, design)
         per_corner = []
         for outcome in outcomes:
-            if isinstance(outcome, CornerFailure):
+            if isinstance(outcome, SimulationFailure):
                 return self.failed_metrics()
             per_corner.append(outcome)
         return worst_case_metrics(per_corner, self.objective, self.minimize,

@@ -5,7 +5,8 @@ subsystem makes each batch of them as cheap as the hardware allows:
 
 * :mod:`repro.engine.backends` -- pluggable execution strategies
   (:class:`SerialBackend`, :class:`BatchedBackend`, :class:`ProcessBackend`)
-  behind one ordered ``map`` interface;
+  behind one ordered ``map`` and one simulation fan-out, ``simulate``,
+  whose raising jobs come back as :class:`SimulationFailure` records;
 * :mod:`repro.engine.cache` -- an exact content-hash design cache with
   hit/miss statistics, so re-proposed designs cost nothing;
 * :mod:`repro.engine.engine` -- :class:`EvaluationEngine`, which owns
@@ -23,11 +24,13 @@ from repro.engine.backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
+    SimulationFailure,
     available_backends,
     resolve_backend,
+    simulate_job,
 )
 from repro.engine.cache import CacheStats, DesignCache
-from repro.engine.engine import EvaluationEngine, evaluate_design_task
+from repro.engine.engine import EvaluationEngine, evaluate_rows
 
 __all__ = [
     "BatchedBackend",
@@ -37,7 +40,9 @@ __all__ = [
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
+    "SimulationFailure",
     "available_backends",
-    "evaluate_design_task",
+    "evaluate_rows",
     "resolve_backend",
+    "simulate_job",
 ]

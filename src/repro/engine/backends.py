@@ -1,26 +1,26 @@
 """Pluggable execution backends for batched design evaluation.
 
-A backend is an object with an ordered :meth:`ExecutionBackend.map`: it takes
-a picklable callable and a list of work items and returns the results in
-input order.  Three implementations cover the useful points of the
-serial/concurrent design space:
+A backend has two ordered entry points.  :meth:`ExecutionBackend.map` runs a
+picklable callable over work items.  :meth:`ExecutionBackend.simulate` is the
+one simulation fan-out: it takes ``(problem, design)`` jobs and returns each
+job's metric dictionary or a :class:`SimulationFailure`.  The evaluation
+engine, the Monte Carlo runner, the PVT corner sweep and the queue worker all
+call it instead of branching on the backend (the engine keeps one branch:
+the queue backend's ``job_dispatch``).
 
 * :class:`SerialBackend` -- a plain list comprehension; zero overhead, fully
   deterministic, the default everywhere.
-* :class:`BatchedBackend` -- serial ``map`` semantics plus a capability flag
-  (:attr:`ExecutionBackend.batched`) that consumers which know how to
-  *vectorise* their work -- the evaluation engine, the Monte Carlo runner,
-  the PVT corner sweep -- use to route a whole batch through one stacked
-  simulation (see :func:`repro.spice.dc.dc_operating_point_batch`) instead
-  of N independent solves.  Results are bit-identical to serial by
-  construction of the batched solver.
+* :class:`BatchedBackend` -- serial ``map``; its ``simulate`` stacks every
+  job whose problem sets ``supports_batch_simulation`` into one
+  :class:`~repro.bench.BatchSimulator` session (``(B, N, N)`` Newton systems
+  across designs, samples or corners).  Results are bit-identical to serial
+  by construction of the batched solvers.
 * :class:`ProcessBackend` -- a :class:`~concurrent.futures.ProcessPoolExecutor`.
   Escapes the GIL entirely (the Newton stamping loops are pure Python and
   hold the GIL), at the price of pickling the problem and results per task.
 
-Backends deliberately do **no** error handling: callables submitted to a
-backend must catch their own exceptions and encode failures in their return
-value (see :func:`repro.engine.engine.evaluate_design_task`), so one failed
+``map`` does **no** error handling: callables submitted to it must encode
+failures in their return value (as :func:`simulate_job` does), so one failed
 work item can never poison the rest of a batch.
 """
 
@@ -30,10 +30,45 @@ import os
 import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+@dataclass
+class SimulationFailure:
+    """Picklable record of one simulation job that raised.
+
+    ``kind`` is the exception's type name and ``message`` the full
+    ``"TypeName: text"`` string; consumers classify on ``kind`` (the engine
+    re-raises contract errors) and report ``message``.
+    """
+
+    kind: str
+    message: str
+
+    @classmethod
+    def from_exception(cls, exc: BaseException) -> "SimulationFailure":
+        name = type(exc).__name__
+        return cls(name, f"{name}: {exc}")
+
+
+def simulate_job(job):
+    """Simulate one ``(problem, design)`` job; never raises.
+
+    The unit of work every map-style backend ships to its workers: a
+    module-level function (picklable for :class:`ProcessBackend`) returning
+    ``problem.simulate(design)``, or a :class:`SimulationFailure` when the
+    simulation raised, so one diverging solve cannot poison the surrounding
+    ``map``.
+    """
+    problem, design = job
+    try:
+        return problem.simulate(design)
+    except Exception as exc:  # noqa: BLE001 - isolation is the whole point
+        return SimulationFailure.from_exception(exc)
 
 
 class ExecutionBackend:
@@ -41,15 +76,9 @@ class ExecutionBackend:
 
     name = "base"
 
-    #: Capability flag: consumers that know how to evaluate a whole batch in
-    #: one vectorised call (stacked-tensor Newton across designs/samples)
-    #: check this instead of the concrete type, so new batched backends work
-    #: everywhere automatically.  Pure map-style backends leave it False.
-    batched = False
-
     #: Capability flag for job-shaped dispatch: the evaluation engine hands
     #: a backend advertising this the whole pending design block via
-    #: ``map_jobs(problem, rows)`` instead of per-row ``map`` tasks, so the
+    #: ``map_jobs(problem, rows)`` instead of one ``simulate`` call, so the
     #: backend can ship work to external processes as serialized jobs (see
     #: :class:`repro.service.queue.QueueBackend`).
     job_dispatch = False
@@ -57,6 +86,15 @@ class ExecutionBackend:
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """Apply ``fn`` to every item and return results in input order."""
         raise NotImplementedError
+
+    def simulate(self, jobs) -> list:
+        """Simulate ``(problem, design)`` jobs, results in input order.
+
+        Each entry is the job's metric dictionary or a
+        :class:`SimulationFailure`.  Map-style backends map
+        :func:`simulate_job` over the jobs.
+        """
+        return self.map(simulate_job, list(jobs))
 
     def shutdown(self) -> None:
         """Release any worker pools (idempotent; serial backends are no-ops)."""
@@ -81,19 +119,59 @@ class SerialBackend(ExecutionBackend):
 
 
 class BatchedBackend(SerialBackend):
-    """Single-process backend that advertises vectorised batch evaluation.
+    """Single-process backend that stacks simulations into one session.
 
-    ``map`` is inherited serial behaviour -- it exists so consumers without a
-    batched code path (e.g. study repetition fan-out) degrade gracefully.
-    Batch-aware consumers check :attr:`batched` and hand the whole work list
-    to the stacked simulation core instead, which solves every design of the
-    batch inside one ``(B, N, N)`` Newton iteration.  The batched solvers are
+    ``map`` is inherited serial behaviour -- consumers without a simulation
+    fan-out (e.g. study repetition) degrade gracefully.  :meth:`simulate`
+    hands every job whose problem sets ``supports_batch_simulation`` to one
+    :class:`~repro.bench.BatchSimulator` session, which solves the batch
+    inside shared ``(B, N, N)`` Newton iterations.  The batched solvers are
     bit-identical to the serial ones, so switching a run to this backend
     never changes its results -- only its wall-clock time.
     """
 
     name = "batched"
-    batched = True
+
+    def simulate(self, jobs) -> list:
+        """Stack the testbench jobs; every other job runs :func:`simulate_job`.
+
+        The stacked jobs may carry *different* problem instances (designs,
+        per-sample mismatch clones, per-corner variants) as long as their
+        benches declare the same analyses; structurally incompatible benches
+        (a :class:`ValueError` from the batch validator) fall back to
+        :func:`simulate_job` per job.  A failed (not raising) simulation
+        returns the problem's pessimised ``failed_metrics()``, exactly as
+        ``problem.simulate`` would.
+        """
+        from repro.bench import BatchSimulator
+        results: list = []
+        stacked = []
+        for problem, design in jobs:
+            results.append(None)
+            if not getattr(problem, "supports_batch_simulation", False):
+                results[-1] = simulate_job((problem, design))
+                continue
+            try:
+                stacked.append((len(results) - 1, problem, problem.bench,
+                                design))
+            except Exception as exc:  # noqa: BLE001 - mirror simulate()
+                results[-1] = SimulationFailure.from_exception(exc)
+        try:
+            outcomes = BatchSimulator().run(
+                [(bench, design) for _, _, bench, design in stacked])
+        except ValueError:
+            # Mixed bench structures cannot share one batch; serial sessions
+            # per job produce the identical results, just one at a time.
+            for index, problem, _, design in stacked:
+                results[index] = simulate_job((problem, design))
+            return results
+        for (index, problem, _, _), outcome in zip(stacked, outcomes):
+            if isinstance(outcome, SimulationFailure):
+                results[index] = outcome
+            else:
+                results[index] = (outcome.metrics if outcome.ok
+                                  else problem.failed_metrics())
+        return results
 
 
 class ProcessBackend(ExecutionBackend):

@@ -15,31 +15,24 @@ records":
   solve diverging into a singular Jacobian) is converted to the problem's
   pessimised failed evaluation instead of killing the batch.
 
-The engine is deliberately a thin coordinator: simulation stays a pure
-function of the problem and the design vector (see
-:func:`evaluate_design_task`), which is what makes process dispatch safe.
+The engine is deliberately a thin coordinator: it hands the pending rows to
+one ``backend.simulate`` call (see :func:`evaluate_rows`); simulation stays a
+pure function of the problem and the design, which is what makes process
+dispatch safe.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro import telemetry
 from repro.bo.problem import EvaluatedDesign, OptimizationProblem
-from repro.engine.backends import ExecutionBackend, resolve_backend
+from repro.engine.backends import (ExecutionBackend, SimulationFailure,
+                                   resolve_backend)
 from repro.engine.cache import DesignCache
 from repro.utils.validation import check_matrix
-
-
-@dataclass
-class _TaskFailure:
-    """Marker returned by :func:`evaluate_design_task` when simulation raised."""
-
-    kind: str
-    message: str
 
 
 #: Exception types (matched by class name, so worker results stay trivially
@@ -54,20 +47,30 @@ _CONTRACT_ERRORS = ("KeyError", "TypeError", "AttributeError",
                     "DesignSpaceError", "NotFittedError", "OptimizationError")
 
 
-def evaluate_design_task(task: tuple[OptimizationProblem, np.ndarray]):
-    """Evaluate one ``(problem, x)`` pair, encoding exceptions in the result.
+def evaluate_rows(problem: OptimizationProblem, rows, backend: ExecutionBackend
+                  ) -> list[EvaluatedDesign | SimulationFailure]:
+    """Simulate design rows through one ``backend.simulate`` call.
 
-    This is the unit of work shipped to backend workers.  It is a top-level
-    function (picklable for :class:`~repro.engine.backends.ProcessBackend`)
-    and never raises: failures come back as :class:`_TaskFailure` so one
-    diverging solve cannot poison the surrounding ``Executor.map``.  The
-    coordinator decides which failures to isolate and which to re-raise.
+    Each row is clipped into the design space and named, exactly as
+    :meth:`~repro.bo.problem.OptimizationProblem.evaluate` does; the metric
+    dictionaries are folded into records here, in the coordinator, and the
+    records keep the raw rows.  Returns, per row, an :class:`EvaluatedDesign`
+    or a :class:`~repro.engine.backends.SimulationFailure` -- also when the
+    fold raises (a metric dictionary missing a declared metric is a
+    ``KeyError``), so the caller classifies every failure in one place.
     """
-    problem, x = task
-    try:
-        return problem.evaluate(x)
-    except Exception as exc:  # noqa: BLE001 - isolation is the whole point
-        return _TaskFailure(type(exc).__name__, f"{type(exc).__name__}: {exc}")
+    space = problem.design_space
+    jobs = [(problem, space.as_dict(space.clip(row.reshape(1, -1))[0]))
+            for row in rows]
+    outcomes = []
+    for row, result in zip(rows, backend.simulate(jobs)):
+        if not isinstance(result, SimulationFailure):
+            try:
+                result = problem.evaluation_from_metrics(row, result)
+            except Exception as exc:  # noqa: BLE001 - classified by caller
+                result = SimulationFailure.from_exception(exc)
+        outcomes.append(result)
+    return outcomes
 
 
 class EvaluationEngine:
@@ -153,7 +156,7 @@ class EvaluationEngine:
             telemetry.inc("repro_designs_evaluated_total", len(pending))
             for index, outcome in zip(pending, outcomes):
                 self.n_evaluated += 1
-                if isinstance(outcome, _TaskFailure):
+                if isinstance(outcome, SimulationFailure):
                     if outcome.kind in _CONTRACT_ERRORS:
                         raise RuntimeError(
                             f"evaluation of {self.problem.name} raised a "
@@ -188,49 +191,19 @@ class EvaluationEngine:
         return results  # type: ignore[return-value]
 
     def _dispatch(self, x: np.ndarray, pending: list[int]) -> list:
-        """Simulate the pending rows: vectorised when the backend allows it.
-
-        On a :class:`~repro.engine.backends.BatchedBackend` (and a problem
-        that opted in via ``supports_batch_simulation``) the whole pending
-        set goes through one stacked-tensor simulation; otherwise each row is
-        an independent :func:`evaluate_design_task` through ``backend.map``.
-        Both paths return, per row, either an :class:`EvaluatedDesign` or a
-        :class:`_TaskFailure` -- and the batched path is bit-identical to
-        serial, so backend choice never changes recorded results.
+        """Simulate the pending rows: :func:`evaluate_rows` on the backend.
 
         A backend advertising ``job_dispatch`` (the study service's
         :class:`~repro.service.queue.QueueBackend`) gets the whole pending
         block as one ``map_jobs`` call instead: it ships the rows to
         external workers as queue jobs and returns the same per-row
-        ``EvaluatedDesign``-or-``_TaskFailure`` contract, so failure
+        ``EvaluatedDesign``-or-``SimulationFailure`` contract, so failure
         isolation and caching behave identically to in-process evaluation.
         """
+        rows = [x[index] for index in pending]
         if getattr(self.backend, "job_dispatch", False):
-            return self.backend.map_jobs(self.problem,
-                                         [x[index] for index in pending])
-        if (getattr(self.backend, "batched", False)
-                and getattr(self.problem, "supports_batch_simulation", False)):
-            from repro.circuits.base import simulate_checked_batch
-            space = self.problem.design_space
-            jobs = []
-            for index in pending:
-                row = x[index].reshape(1, -1)
-                jobs.append((self.problem, space.as_dict(space.clip(row)[0])))
-            outcomes = []
-            for index, result in zip(pending, simulate_checked_batch(jobs)):
-                if isinstance(result, tuple):
-                    metrics, _ok = result
-                    try:
-                        outcomes.append(self.problem.evaluation_from_metrics(
-                            x[index], metrics))
-                    except Exception as exc:  # noqa: BLE001 - mirror task path
-                        outcomes.append(_TaskFailure(
-                            type(exc).__name__, f"{type(exc).__name__}: {exc}"))
-                else:
-                    outcomes.append(_TaskFailure(result.kind, result.message))
-            return outcomes
-        tasks = [(self.problem, x[index]) for index in pending]
-        return self.backend.map(evaluate_design_task, tasks)
+            return self.backend.map_jobs(self.problem, rows)
+        return evaluate_rows(self.problem, rows, self.backend)
 
     @staticmethod
     def _clone(evaluation: EvaluatedDesign, x: np.ndarray) -> EvaluatedDesign:

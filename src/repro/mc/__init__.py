@@ -28,7 +28,6 @@ from repro.mc.runner import (
     MonteCarloConfig,
     MonteCarloResult,
     MonteCarloRunner,
-    SampleFailure,
     classify_pass,
 )
 from repro.mc.samplers import (
@@ -54,6 +53,5 @@ __all__ = [
     "MonteCarloConfig",
     "MonteCarloResult",
     "MonteCarloRunner",
-    "SampleFailure",
     "classify_pass",
 ]

@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from repro.engine.backends import BackendOwner, ExecutionBackend
+from repro.engine.backends import (BackendOwner, ExecutionBackend,
+                                   SimulationFailure)
 from repro.mc.estimator import YieldEstimate, YieldEstimator
 from repro.mc.samplers import available_samplers, make_sampler
 from repro.pdk import VariationSample
@@ -49,8 +50,9 @@ class MonteCarloConfig:
         Samples always run before adaptive stopping may trigger; guards
         against stopping on the spuriously tight intervals of tiny counts.
     batch_size:
-        Samples dispatched per backend ``map`` call -- the adaptive-stopping
-        granularity, and the unit parallelised across workers.
+        Samples dispatched per backend ``simulate`` call -- the
+        adaptive-stopping granularity, and the unit parallelised across
+        workers.
     sampler:
         Sampler registry name (``"normal"``, ``"lhs"``, ``"sobol"``).
     seed:
@@ -116,29 +118,6 @@ class MonteCarloConfig:
         return (f"mc({self.sampler}, seed={self.seed}, n={self.n_min}.."
                 f"{self.n_max}/{self.batch_size}, "
                 f"ci={target}@{self.confidence:g})")
-
-
-@dataclass
-class SampleFailure:
-    """Picklable marker for a mismatch-sample simulation that raised."""
-
-    index: int
-    message: str
-
-
-def _simulate_sample_task(task):
-    """Worker entry point: one ``(problem, design, sample)`` simulation.
-
-    Top-level and total, like the engine's ``evaluate_design_task``: the
-    varied problem is derived *inside* the worker (cheap -- a shallow copy
-    carrying a derived technology card), and a raising simulation comes back
-    as a :class:`SampleFailure` instead of poisoning the batch ``map``.
-    """
-    problem, design, sample = task
-    try:
-        return problem.with_variation(sample).simulate(design)
-    except Exception as exc:  # noqa: BLE001 - isolation is the point
-        return SampleFailure(sample.index, f"{type(exc).__name__}: {exc}")
 
 
 @dataclass
@@ -274,9 +253,13 @@ class MonteCarloRunner(BackendOwner):
             count = min(config.batch_size,
                         config.n_max - estimator.n_samples)
             batch = sampler.take(estimator.n_samples, count)
-            outcomes = self._dispatch(problem, design, batch)
+            # One fan-out call per batch.  The per-sample clones are derived
+            # here for every backend, and each still builds its own perturbed
+            # netlist, so stacked and serial sessions agree bit for bit.
+            outcomes = self.backend.simulate(
+                [(problem.with_variation(sample), design) for sample in batch])
             for sample, outcome in zip(batch, outcomes):
-                if isinstance(outcome, SampleFailure):
+                if isinstance(outcome, SimulationFailure):
                     n_failures += 1
                     passed, metrics = False, dict(failed_metrics)
                 else:
@@ -298,40 +281,3 @@ class MonteCarloRunner(BackendOwner):
                                 per_sample=per_sample,
                                 samples=samples,
                                 fingerprints=fingerprints)
-
-    def _dispatch(self, problem, design: dict[str, float], batch):
-        """Simulate one sample batch: stacked when the backend allows it.
-
-        On a :class:`~repro.engine.backends.BatchedBackend` the varied
-        per-sample clones are derived in the coordinator and their benches
-        solved in one vectorised session
-        (:func:`repro.circuits.base.simulate_checked_batch`) -- bit-identical
-        to the serial path, since each sample still sees its own perturbed
-        netlist.  Otherwise samples ship to ``backend.map`` one task each.
-        Returns, per sample, a metric dictionary or a :class:`SampleFailure`.
-        """
-        if (getattr(self.backend, "batched", False)
-                and getattr(problem, "supports_batch_simulation", False)):
-            from repro.circuits.base import simulate_checked_batch
-            jobs = []
-            outcomes: list = []
-            for sample in batch:
-                try:
-                    jobs.append((problem.with_variation(sample), design))
-                    outcomes.append(None)
-                except Exception as exc:  # noqa: BLE001 - mirror task path
-                    outcomes.append(SampleFailure(
-                        sample.index, f"{type(exc).__name__}: {exc}"))
-            results = iter(simulate_checked_batch(jobs))
-            for position, sample in enumerate(batch):
-                if outcomes[position] is not None:
-                    continue
-                result = next(results)
-                if isinstance(result, tuple):
-                    outcomes[position] = result[0]
-                else:
-                    outcomes[position] = SampleFailure(sample.index,
-                                                       result.message)
-            return outcomes
-        tasks = [(problem, design, sample) for sample in batch]
-        return self.backend.map(_simulate_sample_task, tasks)

@@ -273,7 +273,7 @@ class QueueBackend(ExecutionBackend):
 
     def map_jobs(self, problem, rows: list[np.ndarray]) -> list:
         """Evaluate design rows via the queue; blocks until all jobs land."""
-        from repro.engine.engine import _TaskFailure
+        from repro.engine.backends import SimulationFailure
         from repro.study.checkpoint import evaluation_from_dict
 
         batch_index = self.next_batch_index
@@ -301,7 +301,7 @@ class QueueBackend(ExecutionBackend):
                     outcomes.append(
                         evaluation_from_dict(row_result["evaluation"]))
                 else:
-                    outcomes.append(_TaskFailure(
+                    outcomes.append(SimulationFailure(
                         row_result.get("kind", "RuntimeError"),
                         row_result.get("message", "worker-side failure")))
         return outcomes

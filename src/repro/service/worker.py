@@ -8,17 +8,19 @@ semantics (leases + deterministic evaluation), not in worker lifetime.
 
 Evaluation mirrors the in-process engine exactly:
 
-* each design row goes through
-  :func:`repro.engine.engine.evaluate_design_task` -- the engine's own unit
-  of work -- so exceptions are encoded per row and shipped back for the
-  *driver* to pessimise, exactly as a local backend would;
+* a job's distinct cache misses go through one
+  :func:`repro.engine.engine.evaluate_rows` call -- the engine's own fan-out
+  over its backend's ``simulate`` -- so a ``backend="batched"`` worker
+  stacks them into one session, and exceptions are encoded per row and
+  shipped back for the coordinating study process to pessimise, exactly as
+  a local backend would;
 * results serialize via
   :func:`~repro.study.checkpoint.evaluation_to_dict`, whose float handling
   round-trips bit-exactly;
 * a per-worker :class:`~repro.engine.cache.DesignCache` (the same class the
   engine uses, with the same clipped-design keying) serves repeat designs --
-  e.g. a re-leased job whose rows the worker already simulated -- without
-  re-simulating.
+  e.g. a re-leased job whose rows the worker already simulated, or a row
+  repeated within one job -- without re-simulating.
 
 While a job runs, a daemon thread extends the lease and refreshes the
 worker's heartbeat row, so the dashboard can tell a busy worker from a dead
@@ -37,8 +39,9 @@ import uuid
 import numpy as np
 
 from repro import telemetry
+from repro.engine.backends import SimulationFailure
 from repro.engine.cache import DesignCache
-from repro.engine.engine import _TaskFailure, evaluate_design_task
+from repro.engine.engine import EvaluationEngine, evaluate_rows
 from repro.service.queue import DEFAULT_LEASE_SECONDS, Job, WorkQueue
 from repro.service.store import ResultsStore, _dump
 from repro.study.checkpoint import evaluation_to_dict
@@ -65,9 +68,10 @@ class Worker:
         Idle sleep between claim attempts when the queue is empty.
     backend:
         Evaluation backend override for problems built from job specs
-        (default ``"serial"``; ``"batched"`` vectorises within a job's
-        rows).  Workers never inherit the spec's backend -- a spec asking
-        for a process pool should not make every worker spawn one.
+        (default ``"serial"``; ``"batched"`` stacks a job's distinct
+        cache misses into one simulation session).  Workers never inherit
+        the spec's backend -- a spec asking for a process pool should not
+        make every worker spawn one.
     """
 
     def __init__(self, store: ResultsStore | str,
@@ -225,28 +229,38 @@ class Worker:
         problem, cache = self._problem_for(payload["spec"])
         space = problem.design_space
         token = getattr(problem, "cache_token", problem.name)
-        results: list[dict] = []
-        for row in payload["x"]:
-            x = np.asarray(row, dtype=float)
-            key = DesignCache.key_for(token, space.clip(x.reshape(1, -1))[0])
-            hit = cache.get(key)
-            if hit is not None:
-                # Clone onto the requested raw x, as the engine's cache
-                # layer does (keys use the clipped design, records keep x).
-                from repro.engine.engine import EvaluationEngine
-                results.append({"ok": True, "evaluation": evaluation_to_dict(
-                    EvaluationEngine._clone(hit, x))})
-                continue
-            outcome = evaluate_design_task((problem, x))
-            if isinstance(outcome, _TaskFailure):
-                results.append({"ok": False, "kind": outcome.kind,
-                                "message": outcome.message})
+        rows = [np.asarray(row, dtype=float) for row in payload["x"]]
+        keys = [DesignCache.key_for(token, space.clip(x.reshape(1, -1))[0])
+                for x in rows]
+        known: dict[str, object] = {}
+        pending: dict[str, np.ndarray] = {}
+        for x, key in zip(rows, keys):
+            if key in known or key in pending:
+                # Repeated within the job: simulated once, like the engine.
+                cache.record_saved_duplicate()
+            elif (hit := cache.get(key)) is None:
+                pending[key] = x
             else:
+                known[key] = hit
+        outcomes = evaluate_rows(problem, list(pending.values()),
+                                 problem.engine.backend)
+        for key, outcome in zip(pending, outcomes):
+            if not isinstance(outcome, SimulationFailure):
                 # Successes only, like the engine: failures may be
                 # environment-transient and should retry on a fresh claim.
                 cache.put(key, outcome)
-                results.append({"ok": True,
-                                "evaluation": evaluation_to_dict(outcome)})
+            known[key] = outcome
+        results: list[dict] = []
+        for x, key in zip(rows, keys):
+            outcome = known[key]
+            if isinstance(outcome, SimulationFailure):
+                results.append({"ok": False, "kind": outcome.kind,
+                                "message": outcome.message})
+            else:
+                # Clone onto the requested raw x, as the engine's cache
+                # layer does (keys use the clipped design, records keep x).
+                results.append({"ok": True, "evaluation": evaluation_to_dict(
+                    EvaluationEngine._clone(outcome, x))})
         return results
 
 

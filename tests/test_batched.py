@@ -19,7 +19,6 @@ import pytest
 from repro import telemetry
 from repro.bench import (
     ACSpec,
-    BatchJobError,
     BatchSimulator,
     Check,
     Measure,
@@ -33,10 +32,10 @@ from repro.bench import (
     gain_db,
 )
 from repro.circuits import make_problem
-from repro.circuits.base import simulate_checked_batch
 from repro.engine import (
     BatchedBackend,
     EvaluationEngine,
+    SimulationFailure,
     available_backends,
     resolve_backend,
 )
@@ -336,7 +335,7 @@ class TestBatchSimulator:
         batched = BatchSimulator().run([(problem.bench, design)
                                         for design in designs])
         for design, res_serial, res_batched in zip(designs, serial, batched):
-            assert not isinstance(res_batched, BatchJobError)
+            assert not isinstance(res_batched, SimulationFailure)
             assert res_serial.ok == res_batched.ok
             assert res_serial.failure == res_batched.failure
             assert res_serial.metrics == res_batched.metrics
@@ -351,16 +350,16 @@ class TestBatchSimulator:
                 (bandgap.bench, GOOD_DESIGNS["bandgap"]),
             ])
 
-    def test_simulate_checked_batch_mixed_falls_back(self):
-        # The problem-level entry point absorbs the structural mismatch and
-        # produces per-job results identical to serial simulate_checked.
+    def test_backend_simulate_mixed_falls_back(self):
+        # The batched backend absorbs the structural mismatch and produces
+        # per-job results identical to serial simulate.
         two_stage = make_problem("two_stage_opamp")
         bandgap = make_problem("bandgap")
         jobs = [(two_stage, GOOD_DESIGNS["two_stage_opamp"]),
                 (bandgap, GOOD_DESIGNS["bandgap"])]
-        results = simulate_checked_batch(jobs)
+        results = BatchedBackend().simulate(jobs)
         for (problem, design), result in zip(jobs, results):
-            assert result == problem.simulate_checked(design)
+            assert result == problem.simulate(design)
 
     @pytest.mark.parametrize("mode,ending", FAILURE_MODES)
     def test_failure_parity(self, mode, ending):
@@ -372,7 +371,7 @@ class TestBatchSimulator:
             try:
                 serial = Simulator().run(bench, design)
             except Exception as exc:  # noqa: BLE001 - compared below
-                assert isinstance(outcome, BatchJobError), (mode, outcome)
+                assert isinstance(outcome, SimulationFailure), (mode, outcome)
                 assert outcome.kind == type(exc).__name__
                 assert outcome.message == f"{type(exc).__name__}: {exc}"
                 continue
@@ -387,7 +386,7 @@ class TestBatchSimulator:
         else:
             assert isinstance(batched[0], SimResult) and batched[0].ok
         if ending == "raises":
-            assert isinstance(batched[1], BatchJobError)
+            assert isinstance(batched[1], SimulationFailure)
         else:
             assert isinstance(batched[1], SimResult) and not batched[1].ok
 
@@ -405,7 +404,7 @@ class TestBatchSimulator:
         finally:
             telemetry.disable()
             telemetry.reset()
-        assert isinstance(outcome, BatchJobError)
+        assert isinstance(outcome, SimulationFailure)
         assert serial == batched
         assert serial["repro_bench_runs_total"] == 1
         assert serial["repro_bench_failures_total"] == 1
@@ -466,14 +465,33 @@ class TestMonteCarloBatched:
 # engine + corner integration                                           #
 # ===================================================================== #
 class TestEngineBatched:
-    def test_backend_registered(self):
+    def test_backend_registered(self, monkeypatch):
         assert "batched" in available_backends()
         backend = resolve_backend("batched")
         assert isinstance(backend, BatchedBackend)
-        assert backend.batched is True
-        assert resolve_backend("serial").batched is False
         # Degraded map semantics stay serial-ordered.
         assert backend.map(lambda v: v * 2, [1, 2, 3]) == [2, 4, 6]
+        # Behaviour, not a flag: the batched backend stacks testbench jobs
+        # into one BatchSimulator session, the serial one runs a Simulator
+        # session per job, and both return the same metrics.
+        calls = {"run": 0, "batch": 0}
+
+        def counting(method, key):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return method(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(Simulator, "run", counting(Simulator.run, "run"))
+        monkeypatch.setattr(BatchSimulator, "run",
+                            counting(BatchSimulator.run, "batch"))
+        problem = make_problem("two_stage_opamp")
+        jobs = [(problem, GOOD_DESIGNS["two_stage_opamp"])] * 3
+        stacked = backend.simulate(jobs)
+        assert calls == {"run": 0, "batch": 1}
+        serial = resolve_backend("serial").simulate(jobs)
+        assert calls == {"run": 3, "batch": 1}
+        assert stacked == serial
 
     def test_evaluate_batch_bit_identical(self):
         rng = np.random.default_rng(77)

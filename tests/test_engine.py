@@ -12,15 +12,17 @@ from repro.autodiff import Tensor, no_grad
 from repro.bo import RandomSearch
 from repro.bo.design_space import DesignSpace, DesignVariable
 from repro.bo.problem import Constraint, OptimizationProblem
-from repro.circuits import TwoStageOpAmp, make_problem, simulate_design
+from repro.circuits import TwoStageOpAmp, make_problem
 from repro.engine import (
     BatchedBackend,
     DesignCache,
     EvaluationEngine,
     ProcessBackend,
     SerialBackend,
+    SimulationFailure,
     available_backends,
     resolve_backend,
+    simulate_job,
 )
 from repro.experiments.runner import run_repeated
 from repro.study.spec import SpecError, StudySpec
@@ -316,14 +318,21 @@ class TestBackendEquivalence:
                 for name in a:
                     assert a[name] == pytest.approx(b[name], rel=1e-12, abs=1e-12)
 
-    def test_simulate_design_entry_point_is_picklable(self, batch):
+    def test_simulate_job_entry_point_is_picklable(self, batch):
         problem, x = batch
         design = problem.design_space.as_dict(x[0])
-        # Round-trip both the entry point and the problem through pickle the
+        # Round-trip both the entry point and the job through pickle the
         # way a process pool would before calling it.
-        fn = pickle.loads(pickle.dumps(simulate_design))
-        remote = fn(pickle.loads(pickle.dumps(problem)), design)
+        fn = pickle.loads(pickle.dumps(simulate_job))
+        remote = fn(pickle.loads(pickle.dumps((problem, design))))
         assert remote == problem.simulate(design)
+
+    def test_simulate_job_returns_failure_instead_of_raising(self):
+        problem = FragileProblem()
+        job = pickle.loads(pickle.dumps((problem, {"x0": 0.9, "x1": 0.2})))
+        outcome = pickle.loads(pickle.dumps(simulate_job))(job)
+        assert outcome == SimulationFailure("RuntimeError",
+                                            "RuntimeError: diverged")
 
 
 # ---------------------------------------------------------------------- #

@@ -281,6 +281,41 @@ def _worker_threads(store_path, count, **worker_kwargs):
     return workers, threads
 
 
+class TestWorkerEvaluation:
+    def test_batched_worker_stacks_a_jobs_rows(self, store, monkeypatch):
+        from repro.bench import BatchSimulator, Simulator
+        from repro.circuits import make_problem
+        calls = {"run": 0, "batch": 0}
+        run, batch_run = Simulator.run, BatchSimulator.run
+
+        def counting_run(self, *args, **kwargs):
+            calls["run"] += 1
+            return run(self, *args, **kwargs)
+
+        def counting_batch(self, *args, **kwargs):
+            calls["batch"] += 1
+            return batch_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", counting_run)
+        monkeypatch.setattr(BatchSimulator, "run", counting_batch)
+        space = make_problem("two_stage_opamp").design_space
+        rows = space.sample(3, rng=np.random.default_rng(8))
+        # The fourth row repeats the first: simulated once per job.
+        x = [[float(v) for v in row] for row in (*rows, rows[0])]
+        spec = StudySpec(optimizer="rs", circuit="two_stage_opamp",
+                         n_simulations=4, n_init=4).to_dict()
+        payload = {"kind": "evaluate", "spec": spec, "x": x}
+
+        serial = Worker(store, worker_id="serial")._evaluate_payload(payload)
+        assert calls == {"run": 3, "batch": 0}
+        batched = Worker(store, worker_id="batched",
+                         backend="batched")._evaluate_payload(payload)
+        assert calls == {"run": 3, "batch": 1}
+        assert batched == serial
+        assert len(batched) == 4 and all(row["ok"] for row in batched)
+        assert batched[3]["evaluation"] == batched[0]["evaluation"]
+
+
 class TestDistributed:
     def test_two_workers_match_serial_run(self, store, reference_result):
         workers, threads = _worker_threads(store.path, 2)
