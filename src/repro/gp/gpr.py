@@ -1,25 +1,36 @@
-"""Exact GP regression with autodiff-trained kernels.
+"""Exact GP regression trained by marginal-likelihood maximisation.
 
-The marginal likelihood (paper Eq. 3) is maximised with Adam.  Gradients with
-respect to *all* kernel parameters -- including the weights inside the Neural
-Kernel -- are obtained by seeding the reverse pass with the analytic gradient
-of the likelihood with respect to the covariance matrix,
+The marginal likelihood (paper Eq. 3) is maximised with Adam.  Each step
+factors the training covariance ``K_n`` once (``dpotrf``), solves for
+``alpha = K_n^{-1} y`` (``dpotrs``) and forms ``K_n^{-1}`` (``dpotri``), which
+gives the gradient of the negative log marginal likelihood with respect to
+the covariance matrix (Rasmussen & Williams, *GPML* 2006, Eq. 5.9),
 
-    dL/dK = 0.5 * (alpha alpha^T - K_n^{-1}),  alpha = K_n^{-1} y,
+    dL/dK = 0.5 * (K_n^{-1} - alpha alpha^T).
 
-which avoids differentiating through the Cholesky factorisation itself while
-remaining exact.
+How that gradient reaches the kernel parameters depends on the kernel type:
+
+* stationary ARD kernels (RBF, Matern, RQ -- :class:`StationaryKernel`) are
+  differentiated in closed form from their profile ``f(r^2)`` and ``f'(r^2)``,
+  with no autodiff graph and an O(n d)-memory lengthscale gradient;
+* every other kernel (Neuk, Periodic, DKL, composites) builds the covariance
+  as an autodiff graph and seeds its reverse pass with ``dL/dK``, so
+  gradients reach every parameter -- including the weights inside the Neural
+  Kernel -- without differentiating through the Cholesky factorisation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from repro.autodiff import Tensor, no_grad
 from repro.autodiff.functional import as_tensor
 from repro.errors import NotFittedError
 from repro.kernels import Kernel, RBFKernel
+from repro.kernels.stationary import StationaryKernel
 from repro.nn.module import Module, Parameter
 from repro.optim.adam import Adam
 from repro.utils.validation import check_matrix, check_vector
@@ -123,58 +134,96 @@ class GPRegression(Module):
         eye = Tensor(np.eye(self.x_train_.shape[0]))
         return k + eye * noise
 
-    def _nlml_and_grad_seed(self, a_np: np.ndarray) -> tuple[float, np.ndarray] | None:
-        """Negative log marginal likelihood and its gradient w.r.t. ``A``."""
-        n = a_np.shape[0]
-        y = self.y_train_
-        a_np = a_np + _JITTER * np.eye(n)
-        try:
-            cho = cho_factor(a_np, lower=True)
-        except np.linalg.LinAlgError:
-            return None
-        alpha = cho_solve(cho, y)
-        logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
-        nlml = 0.5 * float(y @ alpha) + 0.5 * logdet + 0.5 * n * np.log(2.0 * np.pi)
-        a_inv = cho_solve(cho, np.eye(n))
-        grad = 0.5 * (a_inv - np.outer(alpha, alpha))
-        return nlml, grad
+    def _stationary_gram(self):
+        """Training covariance of a stationary kernel, with its gradient parts.
+
+        Returns ``(K + sigma_n^2 I, K, x / lengthscale, r^2, f'(r^2))``.
+        """
+        kernel = self.kernel
+        scaled, r2 = kernel.gram_sqdist(self.x_train_)
+        value, slope = kernel.profile(r2)
+        k = value * kernel.outputscale
+        cov = k.copy()
+        cov.flat[::cov.shape[0] + 1] += self.noise
+        return cov, k, scaled, r2, slope
+
+    def _covariance(self) -> np.ndarray:
+        """Training covariance ``K + sigma_n^2 I`` as numpy, as the fit scores it."""
+        if isinstance(self.kernel, StationaryKernel):
+            return self._stationary_gram()[0]
+        with no_grad():
+            return self._covariance_tensor().data
+
+    def _tape_nlml(self, with_grad: bool) -> float | None:
+        """NLML; with ``with_grad`` also back-propagate it through the graph."""
+        if not with_grad:
+            return _nlml_terms(self._covariance(), self.y_train_, False)[0]
+        cov = self._covariance_tensor()
+        nlml, seed = _nlml_terms(cov.data, self.y_train_, True)
+        if seed is not None:
+            cov.backward(seed)
+        return nlml
+
+    def _stationary_nlml(self, with_grad: bool) -> float | None:
+        """NLML; with ``with_grad`` also its closed-form parameter gradients."""
+        kernel = self.kernel
+        cov, k, scaled, r2, slope = self._stationary_gram()
+        nlml, seed = _nlml_terms(cov, self.y_train_, with_grad)
+        if seed is None:
+            return nlml
+        scale = kernel.outputscale
+        self.raw_noise.grad = np.array([np.trace(seed) * np.exp(self.raw_noise.data[0])])
+        # Products go through scipy's BLAS or plain ufuncs, never numpy's
+        # BLAS: threaded calls alternating between numpy's and scipy's
+        # OpenBLAS pools contend for the cores.
+        kernel.raw_outputscale.grad = np.array([np.sum(seed * k)])
+        # dL/dlog(l_k) = sum_ij M_ij (a_ik - a_jk)^2 with a = x / l and
+        # M = -2 s (dL/dK o f'), expanded as 2 sum_i a_i o (r_i a_i - (M a)_i)
+        # with r = M 1, so that no (n, n, d) tensor is built.
+        weights = seed * slope
+        weights *= -2.0 * scale
+        spread = scaled * weights.sum(axis=1)[:, None] - dgemm(1.0, weights, scaled)
+        kernel.raw_lengthscale.grad = 2.0 * np.sum(scaled * spread, axis=0)
+        for param, dvalue in kernel.profile_param_grads(r2):
+            param.grad = np.array([scale * np.sum(seed * dvalue)])
+        return nlml
 
     def _optimize_hyperparameters(self, n_iters: int, lr: float) -> list[float]:
+        objective = (self._stationary_nlml if isinstance(self.kernel, StationaryKernel)
+                     else self._tape_nlml)
         params = self.parameters()
         optimizer = Adam(params, lr=lr, grad_clip=20.0)
+        n_steps = int(n_iters)
         history: list[float] = []
-        best = np.inf
-        best_state = self.state_dict()
-        stall = 0
-        for _ in range(int(n_iters)):
+        best, best_state = np.inf, [param.data.copy() for param in params]
+        stall_best, stall = np.inf, 0
+        # The state after the last Adam step is scored too (forward only), so
+        # the parameters kept are always the best *scored* ones.
+        for step in range(n_steps + 1):
             optimizer.zero_grad()
-            a_tensor = self._covariance_tensor()
-            result = self._nlml_and_grad_seed(a_tensor.data)
-            if result is None:
+            nlml = objective(with_grad=step < n_steps)
+            if nlml is None:
                 # Covariance became non-PSD: back off to the best parameters.
-                self.load_state_dict(best_state)
                 break
-            nlml, seed = result
             history.append(nlml)
-            if nlml < best - 1e-7:
-                best = nlml
-                best_state = self.state_dict()
-                stall = 0
+            if nlml < best:
+                best, best_state = nlml, [param.data.copy() for param in params]
+            if nlml < stall_best - 1e-7:
+                stall_best, stall = nlml, 0
             else:
                 stall += 1
                 if stall >= 20:
                     break
-            a_tensor.backward(seed)
-            optimizer.step()
-        if history and history[-1] > best:
-            self.load_state_dict(best_state)
+            if step < n_steps:
+                optimizer.step()
+        for param, value in zip(params, best_state):
+            param.data = value
         return history
 
     def _update_posterior_cache(self) -> None:
-        with no_grad():
-            a_tensor = self._covariance_tensor()
+        cov = self._covariance()
         n = self.x_train_.shape[0]
-        a_np = a_tensor.data + _JITTER * np.eye(n)
+        a_np = cov + _JITTER * np.eye(n)
         jitter = _JITTER
         while True:
             try:
@@ -184,9 +233,10 @@ class GPRegression(Module):
                 jitter = max(jitter, 1e-10) * 10.0
                 if jitter > 1e2:
                     raise
-                a_np = a_tensor.data + jitter * np.eye(n)
+                a_np = cov + jitter * np.eye(n)
         self._alpha = cho_solve(self._cho, self.y_train_)
-        self._k_inv = cho_solve(self._cho, np.eye(n))
+        # K^{-1} is only read by predict_tensor; formed there on first use.
+        self._k_inv = None
 
     # ------------------------------------------------------------------ #
     # prediction                                                          #
@@ -194,11 +244,8 @@ class GPRegression(Module):
     def log_marginal_likelihood(self) -> float:
         """Log marginal likelihood of the training data at the current parameters."""
         self._require_fitted()
-        a_tensor = self._covariance_tensor()
-        result = self._nlml_and_grad_seed(a_tensor.data)
-        if result is None:
-            return -np.inf
-        return -result[0]
+        nlml = _nlml_terms(self._covariance(), self.y_train_, False)[0]
+        return -np.inf if nlml is None else -nlml
 
     def predict(self, x, return_std: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance (or standard deviation) at ``x``.
@@ -232,6 +279,8 @@ class GPRegression(Module):
         k_star = self.kernel(x, x_train)                          # (m, n)
         alpha = Tensor(self._alpha.reshape(-1, 1))
         mean = (k_star @ alpha).reshape(x.shape[0])
+        if self._k_inv is None:
+            self._k_inv = cho_solve(self._cho, np.eye(self.x_train_.shape[0]))
         k_inv = Tensor(self._k_inv)
         quad = ((k_star @ k_inv) * k_star).sum(axis=1)
         k_ss = self.kernel(x, x)
@@ -258,6 +307,33 @@ class GPRegression(Module):
         cov = cov + 1e-8 * np.trace(cov) / max(x.shape[0], 1) * np.eye(x.shape[0])
         return rng.multivariate_normal(mean, cov, size=n_samples, method="cholesky"
                                        if _is_posdef(cov) else "svd")
+
+
+def _nlml_terms(cov: np.ndarray, y: np.ndarray,
+                with_grad: bool) -> tuple[float | None, np.ndarray | None]:
+    """Negative log marginal likelihood of ``y`` under ``N(0, cov)``.
+
+    With ``with_grad`` also returns ``dL/dcov = 0.5 (cov^{-1} - alpha
+    alpha^T)``.  A covariance that is not positive definite gives ``(None,
+    None)``; a non-finite one raises ``ValueError``.
+    """
+    n = y.shape[0]
+    jittered = np.array(np.asarray_chkfinite(cov), order="F")
+    jittered.flat[::n + 1] += _JITTER
+    # ``clean`` zeroes the upper triangle, which dpotri then leaves untouched.
+    chol, info = dpotrf(jittered, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        return None, None
+    alpha, _ = dpotrs(chol, y, lower=1)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    nlml = 0.5 * float(y @ alpha) + 0.5 * logdet + 0.5 * n * np.log(2.0 * np.pi)
+    if not with_grad:
+        return nlml, None
+    inverse, _ = dpotri(chol, lower=1, overwrite_c=1)
+    inverse += np.tril(inverse, -1).T
+    inverse -= np.outer(alpha, alpha)
+    inverse *= 0.5
+    return nlml, inverse
 
 
 def _is_posdef(matrix: np.ndarray) -> bool:

@@ -1,8 +1,16 @@
-"""Classic stationary (and one dot-product) kernels with ARD lengthscales."""
+"""Classic stationary (and one dot-product) kernels with ARD lengthscales.
+
+RBF, Rational Quadratic and the Matern family subclass
+:class:`StationaryKernel`: ``k(x, x') = outputscale * f(r^2)`` of the
+lengthscale-scaled squared distance ``r^2``.  Besides the taped ``forward``
+they give ``f`` and its derivative ``f'`` on ``r^2`` as plain numpy, which is
+all a GP fit needs to form its marginal-likelihood gradient in closed form.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from repro.autodiff import Tensor
 from repro.autodiff.functional import as_tensor, pairwise_sqdist
@@ -36,15 +44,51 @@ class _ARDKernel(Kernel):
     def _sqdist(self, x1, x2) -> Tensor:
         return pairwise_sqdist(self._scaled(x1), self._scaled(x2))
 
+    def diag(self, x) -> np.ndarray:
+        """``k(x, x) = outputscale`` for every row, in O(m)."""
+        return np.full(as_tensor(x).shape[0], self.outputscale)
 
-class RBFKernel(_ARDKernel):
+
+class StationaryKernel(_ARDKernel):
+    """ARD kernel ``outputscale * f(r^2)`` with a closed-form profile ``f``."""
+
+    def gram_sqdist(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(x / lengthscale, r^2)`` of the Gram matrix of ``x``, as numpy.
+
+        ``r^2`` within rounding error of zero (the diagonal, duplicated rows)
+        is exactly zero.
+        """
+        scaled = x * np.exp(-self.raw_lengthscale.data)
+        sq = (scaled * scaled).sum(axis=1)
+        # scipy's BLAS, the library of the fit's LAPACK calls: threaded calls
+        # alternating between numpy's and scipy's OpenBLAS pools contend.
+        r2 = dgemm(-2.0, scaled, scaled, trans_b=True)
+        r2 += sq[:, None]
+        r2 += sq
+        r2 *= r2 > _rounding_floor(scaled, scaled)
+        return scaled, r2
+
+    def profile(self, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``f(r^2)`` and ``f'(r^2)`` on squared distances ``r2 >= 0``."""
+        raise NotImplementedError
+
+    def profile_param_grads(self, r2: np.ndarray) -> list[tuple[Parameter, np.ndarray]]:
+        """``(p, df/dp)`` for each trainable shape parameter ``p`` of ``f``."""
+        return []
+
+
+class RBFKernel(StationaryKernel):
     """Squared-exponential / ARD kernel, the paper's Eq. for ``k(x, x'|theta)``."""
 
     def forward(self, x1, x2) -> Tensor:
         return (self._sqdist(x1, x2) * -0.5).exp() * self.raw_outputscale.exp()
 
+    def profile(self, r2):
+        value = np.exp(r2 * -0.5)
+        return value, value * -0.5
 
-class RationalQuadraticKernel(_ARDKernel):
+
+class RationalQuadraticKernel(StationaryKernel):
     """Rational quadratic kernel, a scale mixture of RBF kernels."""
 
     def __init__(self, input_dim: int, lengthscale: float = 1.0,
@@ -63,6 +107,20 @@ class RationalQuadraticKernel(_ARDKernel):
         # inner^(-alpha) computed via exp(-alpha * log(inner)) so alpha stays trainable.
         log_inner = inner.log()
         return (log_inner * (alpha * -1.0)).exp() * self.raw_outputscale.exp()
+
+    def profile(self, r2):
+        alpha = self.alpha
+        inner = r2 * 0.5 / alpha + 1.0
+        value = np.exp(np.log(inner) * -alpha)
+        return value, value * -0.5 / inner
+
+    def profile_param_grads(self, r2):
+        # d f / d log(alpha) = alpha * f * (r^2 / (2 alpha inner) - log(inner)).
+        alpha = self.alpha
+        inner = r2 * 0.5 / alpha + 1.0
+        log_inner = np.log(inner)
+        value = np.exp(log_inner * -alpha)
+        return [(self.raw_alpha, value * (r2 * 0.5 / inner - alpha * log_inner))]
 
 
 class PeriodicKernel(_ARDKernel):
@@ -104,13 +162,58 @@ def _sin_squared(t: Tensor) -> Tensor:
     return t._make(data, (t,), backward)
 
 
-class _MaternKernel(_ARDKernel):
+def _rounding_floor(a: np.ndarray, b: np.ndarray) -> float:
+    """Rounding-error bound of the entries of ``pairwise_sqdist(a, b)``.
+
+    ``|a_i|^2 + |b_j|^2 - 2 a_i.b_j`` cancels for coincident rows; a computed
+    value at or below ``(d + 2) eps (max |a_i|^2 + max |b_j|^2)`` is zero up
+    to rounding.
+    """
+    largest = (a * a).sum(axis=1).max(initial=0.0) + (b * b).sum(axis=1).max(initial=0.0)
+    return (a.shape[1] + 2) * np.finfo(float).eps * largest
+
+
+def _zero_below(t: Tensor, floor: float) -> Tensor:
+    """``t`` where it exceeds ``floor``, else exactly zero with no gradient."""
+    keep = t.data > floor
+
+    def backward(upstream: np.ndarray) -> None:
+        t._accumulate(upstream * keep)
+
+    return t._make(np.where(keep, t.data, 0.0), (t,), backward)
+
+
+class _MaternKernel(StationaryKernel):
     """Shared Matern implementation parameterised by ``nu``."""
 
     nu: float = 1.5
 
+    def profile(self, r2):
+        # As in ``forward``, r^2 below 1e-24 is clipped and passes no gradient.
+        distance = np.sqrt(np.maximum(r2, 1e-24))
+        passes = r2 >= 1e-24
+        if self.nu == 0.5:
+            value = np.exp(-distance)
+            return value, np.where(passes, value * -0.5 / distance, 0.0)
+        if self.nu == 1.5:
+            root3 = np.sqrt(3.0)
+            decay = np.exp(distance * -root3)
+            return (distance * root3 + 1.0) * decay, np.where(passes, decay * -1.5, 0.0)
+        if self.nu == 2.5:
+            root5 = np.sqrt(5.0)
+            decay = np.exp(distance * -root5)
+            value = (distance * root5 + distance * distance * (5.0 / 3.0) + 1.0) * decay
+            slope = (distance * root5 + 1.0) * decay * (-5.0 / 6.0)
+            return value, np.where(passes, slope, 0.0)
+        raise ValueError(f"unsupported Matern nu={self.nu}")
+
     def forward(self, x1, x2) -> Tensor:
-        distance = self._sqdist(x1, x2).clip_min(1e-24).sqrt()
+        # f'(r^2) grows like 1/r for nu = 1/2, so r^2 that is only rounding
+        # noise (the diagonal, duplicated rows) is zeroed first: left in, its
+        # gradient would be noise amplified by up to 1e8.
+        a1, a2 = self._scaled(x1), self._scaled(x2)
+        sqdist = _zero_below(pairwise_sqdist(a1, a2), _rounding_floor(a1.data, a2.data))
+        distance = sqdist.clip_min(1e-24).sqrt()
         scale = self.raw_outputscale.exp()
         if self.nu == 0.5:
             return (distance * -1.0).exp() * scale

@@ -2,11 +2,23 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from repro.autodiff import Tensor
 from repro.errors import NotFittedError
 from repro.gp import GPRegression, MultiOutputGP
-from repro.kernels import Matern52Kernel, NeuralKernel, RBFKernel
+from repro.kernels import (
+    Matern12Kernel,
+    Matern32Kernel,
+    Matern52Kernel,
+    NeuralKernel,
+    PeriodicKernel,
+    RationalQuadraticKernel,
+    RBFKernel,
+)
+
+STATIONARY_KERNELS = (RBFKernel, Matern12Kernel, Matern32Kernel, Matern52Kernel,
+                      RationalQuadraticKernel)
 
 
 def _toy_data(rng, n=30, d=2):
@@ -171,3 +183,122 @@ class TestMultiOutputGP:
         mean, var = model.predict_tensor(Tensor(x[:4]))
         assert mean.shape == (4, 2)
         assert var.shape == (4, 2)
+
+
+def _regression_data(n, d, duplicated=False, seed=5):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, d))
+    if duplicated:
+        # Coincident rows: their computed r^2 is only rounding noise.
+        x[-4:] = x[:4]
+    y = np.sin(3.0 * x[:, 0]) + x[:, 1] ** 2 + 0.05 * rng.normal(size=n)
+    return x, y
+
+
+def _gradient(gp, objective):
+    gp.zero_grad()
+    nlml = objective(with_grad=True)
+    return nlml, np.concatenate([param.grad.ravel() for param in gp.parameters()])
+
+
+def _route_calls(monkeypatch):
+    """Count the fit steps taken by each gradient route."""
+    calls = {"_tape_nlml": 0, "_stationary_nlml": 0}
+    for name in calls:
+        original = getattr(GPRegression, name)
+
+        def counted(self, with_grad, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, with_grad)
+
+        monkeypatch.setattr(GPRegression, name, counted)
+    return calls
+
+
+class TestClosedFormGradient:
+    @pytest.mark.parametrize("duplicated", [False, True])
+    @pytest.mark.parametrize("kernel_cls", STATIONARY_KERNELS)
+    def test_matches_tape_gradient(self, kernel_cls, duplicated):
+        x, y = _regression_data(30, 4, duplicated=duplicated)
+        gp = GPRegression(kernel=kernel_cls(4)).fit(x, y, optimize=False)
+        rng = np.random.default_rng(11)
+        for param in gp.parameters():
+            param.data = param.data + 0.4 * rng.normal(size=param.data.shape)
+        tape_nlml, tape = _gradient(gp, gp._tape_nlml)
+        closed_nlml, closed = _gradient(gp, gp._stationary_nlml)
+        assert closed_nlml == pytest.approx(tape_nlml, rel=1e-12)
+        assert np.linalg.norm(closed - tape) <= 1e-9 * np.linalg.norm(tape)
+
+    @pytest.mark.parametrize("kernel_cls", STATIONARY_KERNELS)
+    def test_fitted_likelihood_matches_tape_route(self, kernel_cls, monkeypatch):
+        x, y = _regression_data(40, 5, duplicated=True)
+        closed = GPRegression(kernel=kernel_cls(5)).fit(x, y, n_iters=40)
+        monkeypatch.setattr(GPRegression, "_stationary_nlml", GPRegression._tape_nlml)
+        tape = GPRegression(kernel=kernel_cls(5)).fit(x, y, n_iters=40)
+        assert len(closed.training_history_) == len(tape.training_history_)
+        assert closed.log_marginal_likelihood() == pytest.approx(
+            tape.log_marginal_likelihood(), rel=1e-8)
+
+    def test_near_singular_data_backs_off_to_best_state(self, monkeypatch):
+        # Near-duplicate rows under a huge outputscale: Adam drives the noise
+        # down until the covariance stops being positive definite.
+        x = np.random.default_rng(0).uniform(size=(20, 2))
+        x = np.vstack([x, x + 1e-7])
+        y = np.sin(3.0 * x[:, 0]) + x[:, 1]
+        scores = []
+        original = GPRegression._stationary_nlml
+
+        def recorded(self, with_grad):
+            scores.append(original(self, with_grad))
+            return scores[-1]
+
+        monkeypatch.setattr(GPRegression, "_stationary_nlml", recorded)
+        gp = GPRegression(kernel=RBFKernel(2, outputscale=1e6), noise=1e-4)
+        gp.fit(x, y, n_iters=60, lr=1.0)
+        assert scores[-1] is None
+        # Fewer than the 20 non-improving steps the stall stop needs.
+        assert 1 < len(gp.training_history_) < 20
+        assert gp.training_history_ == scores[:-1]
+        assert -gp.log_marginal_likelihood() == min(gp.training_history_)
+
+    @pytest.mark.parametrize("kernel_cls", STATIONARY_KERNELS)
+    def test_stationary_kernels_take_closed_form_route(self, kernel_cls, monkeypatch):
+        calls = _route_calls(monkeypatch)
+        x, y = _regression_data(15, 3)
+        GPRegression(kernel=kernel_cls(3)).fit(x, y, n_iters=10)
+        assert calls == {"_tape_nlml": 0, "_stationary_nlml": 11}
+
+    @pytest.mark.parametrize("make_kernel", [
+        lambda d: NeuralKernel(d, rng=0),
+        PeriodicKernel,
+        lambda d: RBFKernel(d) + PeriodicKernel(d),
+    ], ids=["neuk", "periodic", "sum"])
+    def test_other_kernels_take_tape_route(self, make_kernel, monkeypatch):
+        calls = _route_calls(monkeypatch)
+        x, y = _regression_data(15, 3)
+        GPRegression(kernel=make_kernel(3)).fit(x, y, n_iters=10)
+        assert calls["_stationary_nlml"] == 0
+        assert calls["_tape_nlml"] > 0
+
+
+class TestFitKeepsBestScoredState:
+    @pytest.mark.parametrize("n", [12, 40, 116])
+    def test_returned_model_is_the_history_minimum(self, n):
+        x, y = _regression_data(n, 10, seed=n)
+        model = GPRegression(kernel=RBFKernel(10)).fit(x, y, n_iters=30)
+        assert -model.log_marginal_likelihood() == min(model.training_history_)
+        assert len(model.training_history_) == 31
+
+    def test_tape_route_returns_the_history_minimum(self):
+        x, y = _regression_data(20, 3)
+        model = GPRegression(kernel=NeuralKernel(3, rng=0)).fit(x, y, n_iters=15)
+        assert -model.log_marginal_likelihood() == min(model.training_history_)
+
+    def test_inverse_covariance_is_formed_on_first_tensor_prediction(self):
+        x, y = _regression_data(20, 3)
+        model = GPRegression().fit(x, y, n_iters=10)
+        assert model._k_inv is None
+        model.predict(x[:3])
+        assert model._k_inv is None
+        model.predict_tensor(Tensor(x[:3]))
+        assert np.array_equal(model._k_inv, cho_solve(model._cho, np.eye(20)))

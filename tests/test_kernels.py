@@ -59,6 +59,32 @@ class TestKernelValidity:
         assert np.allclose(kernel.diag(x), np.diag(kernel.matrix(x, x)), atol=1e-10)
 
 
+@pytest.mark.parametrize("kernel_cls", ALL_STATIONARY)
+def test_stationary_diag_is_the_outputscale_without_a_gram_matrix(kernel_cls, monkeypatch):
+    kernel = kernel_cls(3, outputscale=2.5)
+
+    def no_gram(x1, x2):
+        raise AssertionError("diag built the Gram matrix")
+
+    monkeypatch.setattr(kernel, "forward", no_gram)
+    assert np.array_equal(kernel.diag(np.zeros((500, 3))), np.full(500, kernel.outputscale))
+
+
+@pytest.mark.parametrize("kernel_cls", [Matern12Kernel, Matern32Kernel, Matern52Kernel])
+def test_matern_duplicated_rows_correlate_fully(kernel_cls, rng):
+    kernel = kernel_cls(10)
+    kernel.raw_lengthscale.data = rng.normal(scale=0.5, size=10)
+    x = rng.uniform(size=(40, 10))
+    x[-10:] = x[:10]
+    k = kernel.matrix(x, x)
+    # Rounding noise in r^2 would put these near 1 - 1e-8 for nu = 1/2.
+    assert np.allclose(np.diag(k), kernel.outputscale, rtol=1e-11, atol=0.0)
+    assert np.allclose(np.diag(k[-10:, :10]), kernel.outputscale, rtol=1e-11, atol=0.0)
+    tensor = Tensor(x, requires_grad=True)
+    kernel(tensor, tensor).sum().backward()
+    assert np.all(np.isfinite(tensor.grad))
+
+
 class TestStationaryBehaviour:
     def test_rbf_decays_with_distance(self):
         kernel = RBFKernel(1)
