@@ -24,7 +24,7 @@ from repro.acquisition.functions import probability_of_feasibility
 from repro.bo.base import BaseOptimizer
 from repro.bo.problem import OptimizationProblem
 from repro.errors import OptimizationError
-from repro.gp import GPRegression, MultiOutputGP
+from repro.gp import GPRegression
 from repro.kernels import RBFKernel
 from repro.study.registry import register_optimizer
 from repro.utils.random import RandomState
@@ -53,15 +53,6 @@ class MESMOC(BaseOptimizer):
         self.n_candidates = int(n_candidates)
         self.n_max_samples = int(n_max_samples)
 
-    def _fit_surrogates(self) -> tuple[GPRegression, MultiOutputGP]:
-        x_unit, y = self._training_data()
-        objective_model = GPRegression(kernel=RBFKernel(x_unit.shape[1]))
-        objective_model.fit(x_unit, y, n_iters=self.surrogate_train_iters)
-        constraint_model = MultiOutputGP(kernel_factory=lambda d: RBFKernel(d))
-        constraint_model.fit(x_unit, self._constraint_data(),
-                             n_iters=self.surrogate_train_iters)
-        return objective_model, constraint_model
-
     def _sample_optima(self, model: GPRegression, candidates: np.ndarray) -> np.ndarray:
         """Optimistic samples of the (sign-adjusted) optimal value."""
         mean, var = model.predict(candidates)
@@ -74,7 +65,7 @@ class MESMOC(BaseOptimizer):
         return np.asarray(draws)
 
     def propose(self) -> np.ndarray:
-        objective_model, constraint_model = self._fit_surrogates()
+        objective_model, constraint_model = self.fit_surrogates(RBFKernel)
         candidates = self.problem.design_space.sample_unit(self.n_candidates, rng=self.rng)
         mean, var = objective_model.predict(candidates)
         std = np.sqrt(np.maximum(var, 1e-12))

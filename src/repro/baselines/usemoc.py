@@ -14,10 +14,9 @@ import numpy as np
 
 from repro.acquisition.functions import probability_of_feasibility, upper_confidence_bound
 from repro.bo.base import BaseOptimizer
-from repro.bo.mace import select_batch_from_pareto
+from repro.bo.mace import search_budget, select_batch_from_pareto
 from repro.bo.problem import OptimizationProblem
 from repro.errors import OptimizationError
-from repro.gp import GPRegression, MultiOutputGP
 from repro.kernels import RBFKernel
 from repro.moo import NSGA2
 from repro.study.registry import register_optimizer
@@ -25,13 +24,7 @@ from repro.utils.random import RandomState
 
 
 def _build_usemoc(cls, problem, rng, context):
-    quick = context.quick
-    return cls(problem, rng=rng, **context.constructor_kwargs(
-        batch_size=4,
-        surrogate_train_iters=20 if quick else 50,
-        pop_size=32 if quick else 64,
-        n_generations=10 if quick else 30,
-    ))
+    return cls(problem, rng=rng, **search_budget(context))
 
 
 @register_optimizer("usemoc", builder=_build_usemoc, supports_unconstrained=False,
@@ -52,17 +45,8 @@ class USeMOC(BaseOptimizer):
         self.n_generations = int(n_generations)
         self.beta = float(beta)
 
-    def _fit_surrogates(self) -> tuple[GPRegression, MultiOutputGP]:
-        x_unit, y = self._training_data()
-        objective_model = GPRegression(kernel=RBFKernel(x_unit.shape[1]))
-        objective_model.fit(x_unit, y, n_iters=self.surrogate_train_iters)
-        constraint_model = MultiOutputGP(kernel_factory=lambda d: RBFKernel(d))
-        constraint_model.fit(x_unit, self._constraint_data(),
-                             n_iters=self.surrogate_train_iters)
-        return objective_model, constraint_model
-
     def propose(self) -> np.ndarray:
-        objective_model, constraint_model = self._fit_surrogates()
+        objective_model, constraint_model = self.fit_surrogates(RBFKernel)
 
         def cheap_objectives(candidates: np.ndarray) -> np.ndarray:
             mean, var = objective_model.predict(candidates)

@@ -6,9 +6,11 @@
   interface the circuit testbenches implement.
 * :class:`OptimizationHistory` -- per-simulation records and best-so-far
   curves (the x-axis of every figure in the paper).
-* Optimizers: random search, single-objective GP-EI, SMAC-RF,
-  MACE (FOM), constrained MACE (six objectives) and KATO's modified
-  constrained MACE (three objectives, paper Eq. 13).
+* Optimizers: random search, single-objective GP-EI, SMAC-RF and
+  :class:`MACE`, the one acquisition-ensemble optimizer: {UCB, EI, PI} on
+  FOM problems, and on constrained ones the original six-objective
+  ensemble (``variant="full"``) or KATO's three-objective one
+  (``variant="modified"``, paper Eq. 13).  KATO subclasses it.
 """
 
 from repro.bo.design_space import DesignSpace, DesignVariable
@@ -18,7 +20,6 @@ from repro.bo.base import BaseOptimizer, SingleObjectiveBO
 from repro.bo.random_search import RandomSearch
 from repro.bo.smac_rf import SMACRF
 from repro.bo.mace import MACE
-from repro.bo.constrained_mace import ConstrainedMACE
 
 __all__ = [
     "DesignSpace",
@@ -32,5 +33,4 @@ __all__ = [
     "RandomSearch",
     "SMACRF",
     "MACE",
-    "ConstrainedMACE",
 ]

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.acquisition import ExpectedImprovement
 from repro.bo.history import OptimizationHistory
 from repro.bo.problem import EvaluatedDesign, OptimizationProblem
 from repro.errors import OptimizationError
-from repro.gp import GPRegression
+from repro.gp import GPRegression, MultiOutputGP
 from repro.kernels import Kernel, RBFKernel
 from repro.optim.lbfgs import minimize_lbfgs
 from repro.study.registry import register_optimizer
@@ -77,6 +79,24 @@ class BaseOptimizer:
         """Constraint-metric matrix ``(n, n_constraints)`` of the history."""
         metrics = self.history.metrics_matrix()
         return metrics[:, 1:]
+
+    def fit_surrogates(self, kernel_factory: Callable[[int], Kernel]
+                       ) -> tuple[GPRegression, MultiOutputGP | None]:
+        """Fit the objective GP and, on constrained problems, the constraint GPs.
+
+        ``kernel_factory`` (``dim -> Kernel``) is called for the objective
+        first, then once per constraint metric; the constraint model is
+        ``None`` for unconstrained problems.
+        """
+        x_unit, y = self._training_data()
+        objective_model = GPRegression(kernel=kernel_factory(x_unit.shape[1]))
+        objective_model.fit(x_unit, y, n_iters=self.surrogate_train_iters)
+        if self.problem.n_constraints == 0:
+            return objective_model, None
+        constraint_model = MultiOutputGP(kernel_factory=kernel_factory)
+        constraint_model.fit(x_unit, self._constraint_data(),
+                             n_iters=self.surrogate_train_iters)
+        return objective_model, constraint_model
 
     def incumbent(self, constrained: bool | None = None) -> float:
         """Current best objective (feasible-only for constrained problems)."""

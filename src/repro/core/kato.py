@@ -1,10 +1,11 @@
 """KATO: the full optimizer of Algorithm 1.
 
-KATO combines
+KATO is :class:`repro.bo.MACE` with
 * NeukGP surrogates (Neural Kernel GPs) fitted on the target data,
-* an optional KAT-GP transfer surrogate aligned to a source circuit,
 * the modified constrained MACE acquisition ensemble (Eq. 13) searched with
-  NSGA-II (plain MACE {UCB, EI, PI} for unconstrained FOM problems), and
+  NSGA-II (plain MACE {UCB, EI, PI} for unconstrained FOM problems),
+and on top of it
+* an optional KAT-GP transfer surrogate aligned to a source circuit, and
 * Selective Transfer Learning (Eq. 14) to split each simulation batch
   between the transfer model and the target-only model.
 
@@ -14,61 +15,32 @@ modified constrained MACE -- exactly the ablation the paper's Fig. 6 plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.acquisition import MACEObjectives, ModifiedConstrainedMACEObjectives
-from repro.bo.base import BaseOptimizer
-from repro.bo.mace import select_batch_from_pareto
+from repro.bo.mace import MACE, search_budget
 from repro.bo.problem import EvaluatedDesign, OptimizationProblem
 from repro.core.kat_gp import KATGP, SourceModel
 from repro.core.neuk_gp import neural_kernel_factory
 from repro.core.selective_transfer import SelectiveTransfer
-from repro.gp import GPRegression, MultiOutputGP
-from repro.moo import NSGA2
 from repro.study.registry import register_optimizer
 from repro.utils.random import RandomState, as_rng
 
 
-@dataclass
-class KATOConfig:
-    """Hyper-parameters of the KATO optimizer.
-
-    Attributes mirror the settings reported/implied in the paper: batch
-    proposals from a NSGA-II Pareto search over the three-objective ensemble,
-    Neural-Kernel GP surrogates and shallow encoder/decoder alignment.
-    """
-
-    batch_size: int = 4
-    surrogate_train_iters: int = 60
-    kat_train_iters: int = 120
-    pop_size: int = 64
-    n_generations: int = 30
-    ucb_beta: float = 2.0
-    use_neural_kernel: bool = True
-    kernel_kwargs: dict = field(default_factory=dict)
-
-
-def _kato_config(context) -> KATOConfig:
-    """KATOConfig from the build context (quick-scale defaults + overrides)."""
-    kwargs = dict(batch_size=4, surrogate_train_iters=20, kat_train_iters=60,
-                  pop_size=32, n_generations=10) if context.quick else {}
-    if context.batch_size is not None:
-        kwargs["batch_size"] = int(context.batch_size)
-    kwargs.update(context.options)
-    return KATOConfig(**kwargs)
+def _kato_kwargs(context) -> dict:
+    """Quick-scale budgets (KAT-GP included) or KATO's paper-scale defaults."""
+    if context.quick:
+        return search_budget(context, kat_train_iters=60)
+    return context.constructor_kwargs()
 
 
 def _build_kato(cls, problem, rng, context):
     # "kato" is the no-transfer ablation ("KATO w/o TL"): a provided source
-    # is deliberately ignored, exactly as the old factories did.
-    return cls(problem, source=None, config=_kato_config(context), rng=rng)
+    # is deliberately ignored.
+    return cls(problem, source=None, rng=rng, **_kato_kwargs(context))
 
 
 def _build_kato_tl(cls, problem, rng, context):
-    return cls(problem, source=context.source, config=_kato_config(context),
-               rng=rng)
+    return cls(problem, source=context.source, rng=rng, **_kato_kwargs(context))
 
 
 @register_optimizer("kato", builder=_build_kato,
@@ -77,7 +49,7 @@ def _build_kato_tl(cls, problem, rng, context):
 @register_optimizer("kato_tl", builder=_build_kato_tl, requires_source=True,
                     description="Full KATO with knowledge alignment and "
                                 "selective transfer from a source model")
-class KATO(BaseOptimizer):
+class KATO(MACE):
     """Knowledge Alignment and Transfer Optimization (Algorithm 1).
 
     Parameters
@@ -87,87 +59,48 @@ class KATO(BaseOptimizer):
     source:
         Optional :class:`SourceModel` built from another circuit and/or
         technology node; ``None`` disables transfer ("KATO w/o TL").
-    config:
-        :class:`KATOConfig` hyper-parameters.
+    kat_train_iters:
+        Training iterations of each KAT-GP refit.
+    use_neural_kernel / kernel_kwargs:
+        Neural-Kernel surrogates (with these :class:`NeuralKernel`
+        keywords), or ARD RBF ones when ``use_neural_kernel`` is false.
+
+    The batch size and the surrogate/NSGA-II budgets are :class:`MACE`'s.
     """
 
     name = "kato"
 
     def __init__(self, problem: OptimizationProblem, source: SourceModel | None = None,
-                 config: KATOConfig | None = None, rng: RandomState = None):
-        config = config or KATOConfig()
-        super().__init__(problem, batch_size=config.batch_size, rng=rng,
-                         surrogate_train_iters=config.surrogate_train_iters)
-        self.config = config
+                 rng: RandomState = None, batch_size: int = 4,
+                 surrogate_train_iters: int = 60, kat_train_iters: int = 120,
+                 pop_size: int = 64, n_generations: int = 30, ucb_beta: float = 2.0,
+                 use_neural_kernel: bool = True, kernel_kwargs: dict | None = None):
+        super().__init__(problem, batch_size=batch_size, rng=rng, variant="modified",
+                         surrogate_train_iters=surrogate_train_iters,
+                         pop_size=pop_size, n_generations=n_generations,
+                         ucb_beta=ucb_beta)
         self.source = source
+        self.kat_train_iters = int(kat_train_iters)
         self.kat_model: KATGP | None = None
         self.selector: SelectiveTransfer | None = None
+        self._last_labels = None
         self._kernel_rng = as_rng(self.rng.integers(0, 2**31 - 1))
-        if config.use_neural_kernel:
+        if use_neural_kernel:
             self.kernel_factory = neural_kernel_factory(rng=self._kernel_rng,
-                                                        **config.kernel_kwargs)
-        else:
-            from repro.kernels import RBFKernel
-            self.kernel_factory = lambda dim: RBFKernel(dim)
-
-    # ------------------------------------------------------------------ #
-    # surrogate fitting                                                    #
-    # ------------------------------------------------------------------ #
-    def _target_outputs(self) -> np.ndarray:
-        """Target metric matrix in ``problem.metric_names`` order."""
-        return self.history.metrics_matrix()
-
-    def fit_target_surrogates(self) -> tuple[GPRegression, MultiOutputGP | None]:
-        """Fit the NeukGP objective surrogate (and constraint surrogates)."""
-        x_unit, y = self._training_data()
-        objective_model = GPRegression(kernel=self.kernel_factory(x_unit.shape[1]))
-        objective_model.fit(x_unit, y, n_iters=self.surrogate_train_iters)
-        constraint_model = None
-        if self.problem.n_constraints > 0:
-            constraint_model = MultiOutputGP(kernel_factory=self.kernel_factory)
-            constraint_model.fit(x_unit, self._constraint_data(),
-                                 n_iters=self.surrogate_train_iters)
-        return objective_model, constraint_model
+                                                        **(kernel_kwargs or {}))
 
     def fit_transfer_surrogate(self) -> KATGP:
         """(Re)train the KAT-GP alignment on the current target data."""
         if self.source is None:
             raise RuntimeError("fit_transfer_surrogate() requires a source model")
         x_unit = self.problem.design_space.to_unit(self.history.x)
-        y = self._target_outputs()
+        y = self.history.metrics_matrix()
         if self.kat_model is None:
             self.kat_model = KATGP(self.source, target_input_dim=x_unit.shape[1],
                                    target_output_dim=y.shape[1],
                                    rng=self._kernel_rng)
-        self.kat_model.fit(x_unit, y, n_iters=self.config.kat_train_iters)
+        self.kat_model.fit(x_unit, y, n_iters=self.kat_train_iters)
         return self.kat_model
-
-    # ------------------------------------------------------------------ #
-    # acquisition                                                          #
-    # ------------------------------------------------------------------ #
-    def _make_ensemble(self, objective_model, constraint_model):
-        best = self.incumbent()
-        if self.problem.n_constraints == 0:
-            return MACEObjectives(objective_model, best, minimize=self.problem.minimize,
-                                  beta=self.config.ucb_beta)
-        return ModifiedConstrainedMACEObjectives(
-            objective_model=objective_model,
-            constraint_model=constraint_model,
-            best=best,
-            thresholds=self.problem.constraint_thresholds,
-            senses=self.problem.constraint_senses,
-            minimize=self.problem.minimize,
-            beta=self.config.ucb_beta,
-        )
-
-    def _acquisition_pareto(self, objective_model, constraint_model) -> np.ndarray:
-        ensemble = self._make_ensemble(objective_model, constraint_model)
-        searcher = NSGA2(pop_size=self.config.pop_size,
-                         n_generations=self.config.n_generations, rng=self.rng)
-        x_unit, _ = self._training_data()
-        result = searcher.minimize(ensemble, self.problem.design_space.unit_bounds,
-                                   initial_population=x_unit[-self.config.pop_size:])
-        return result.pareto_x
 
     # ------------------------------------------------------------------ #
     # Algorithm 1                                                          #
@@ -180,14 +113,14 @@ class KATO(BaseOptimizer):
         return self.selector
 
     def propose(self) -> np.ndarray:
-        objective_model, constraint_model = self.fit_target_surrogates()
-        target_pareto = self._acquisition_pareto(objective_model, constraint_model)
         if self.source is None:
-            return select_batch_from_pareto(target_pareto, self.batch_size, self.rng)
-        # Transfer path: proposals from the KAT-GP ensemble as well, split by STL.
+            return super().propose()
+        # Transfer path: proposals from the target-only and the KAT-GP
+        # ensembles, the batch split between them by STL.
+        target_pareto = self.acquisition_pareto(*self.fit_surrogates(self.kernel_factory))
         kat = self.fit_transfer_surrogate()
         kat_constraint = kat.constraint_view() if self.problem.n_constraints else None
-        kat_pareto = self._acquisition_pareto(kat.objective_view(), kat_constraint)
+        kat_pareto = self.acquisition_pareto(kat.objective_view(), kat_constraint)
         selector = self._ensure_selector()
         designs, labels = selector.select_from([kat_pareto, target_pareto], self.batch_size)
         self._last_labels = labels
@@ -199,7 +132,7 @@ class KATO(BaseOptimizer):
         # Update the STL weights with the number of proposals (per source)
         # that improved on the incumbent (Eq. 14).
         if self.source is not None and self.selector is not None and evaluations:
-            labels = getattr(self, "_last_labels", None)
+            labels = self._last_labels
             if labels is not None and len(labels) == len(evaluations):
                 eligible = np.array([
                     e.feasible or self.problem.n_constraints == 0 for e in evaluations])

@@ -50,9 +50,8 @@ class BuildContext:
         Designs per iteration; ``None`` keeps the optimizer's default.
     options:
         Free-form optimizer keyword overrides from
-        :attr:`repro.study.StudySpec.optimizer_options` (passed to the
-        optimizer constructor, or to :class:`~repro.core.KATOConfig` for
-        KATO-family entries).
+        :attr:`repro.study.StudySpec.optimizer_options`, passed to the
+        optimizer constructor.
     """
 
     quick: bool = True

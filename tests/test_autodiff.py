@@ -262,10 +262,21 @@ class TestFunctional:
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
-    def test_rbf_gp_fit_matches_tape_chain_bitwise(self, monkeypatch):
-        fused = self._fitted_rbf_parameters()
+    @staticmethod
+    def _fitted_rbf_sum_parameters():
+        # A sum kernel has no closed-form gradient, so the fit runs on the
+        # tape and every kernel evaluation goes through pairwise_sqdist.
+        rng = np.random.default_rng(2024)
+        x = rng.uniform(size=(30, 3))
+        y = np.sin(3.0 * x[:, 0]) + x[:, 1] * x[:, 2]
+        gp = GPRegression(RBFKernel(3) + RBFKernel(3)).fit(x, y, n_iters=40)
+        return [parameter.data.copy() for parameter in gp.parameters()]
+
+    def test_rbf_sum_gp_fit_matches_tape_chain_bitwise(self, monkeypatch):
+        fused = self._fitted_rbf_sum_parameters()
         monkeypatch.setattr(stationary, "pairwise_sqdist", _reference_pairwise_sqdist)
-        chained = self._fitted_rbf_parameters()
+        chained = self._fitted_rbf_sum_parameters()
+        assert len(fused) == len(chained) == 5
         for a, b in zip(fused, chained):
             assert np.array_equal(a, b)
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bo import (
     Constraint,
-    ConstrainedMACE,
     DesignSpace,
     DesignVariable,
     MACE,
@@ -16,6 +15,7 @@ from repro.bo import (
     SingleObjectiveBO,
 )
 from repro.errors import DesignSpaceError, OptimizationError
+from repro.study import UnknownOptimizerError, build_optimizer
 
 
 class TestDesignVariable:
@@ -225,21 +225,23 @@ class TestOptimizers:
 
     def test_constrained_mace_variants(self, constrained_problem):
         for variant in ("modified", "full"):
-            optimizer = ConstrainedMACE(constrained_problem, batch_size=4, rng=0,
-                                        variant=variant, surrogate_train_iters=10,
-                                        pop_size=16, n_generations=5)
+            optimizer = MACE(constrained_problem, batch_size=4, rng=0,
+                             variant=variant, surrogate_train_iters=10,
+                             pop_size=16, n_generations=5)
             history = optimizer.optimize(n_simulations=24, n_init=12)
             assert len(history) >= 24
             best = history.best(constrained=True)
             assert best is not None
 
     def test_constrained_mace_rejects_unconstrained(self, quadratic_problem):
-        with pytest.raises(OptimizationError):
-            ConstrainedMACE(quadratic_problem)
+        # MACE itself runs {UCB, EI, PI} on unconstrained problems; the
+        # modified constrained ensemble's registry entry refuses them.
+        with pytest.raises(UnknownOptimizerError, match="constrained"):
+            build_optimizer("mace_modified", quadratic_problem, 0)
 
     def test_constrained_mace_rejects_bad_variant(self, constrained_problem):
         with pytest.raises(OptimizationError):
-            ConstrainedMACE(constrained_problem, variant="bogus")
+            MACE(constrained_problem, variant="bogus")
 
     def test_step_before_initialize_raises(self, quadratic_problem):
         with pytest.raises(OptimizationError):

@@ -6,13 +6,13 @@ import pytest
 from repro.core import (
     KATGP,
     KATO,
-    KATOConfig,
     NeukGP,
     NeukMultiOutputGP,
     SelectiveTransfer,
     SourceModel,
     neural_kernel_factory,
 )
+from repro.bo import MACE
 from repro.errors import NotFittedError
 from repro.kernels import NeuralKernel
 
@@ -191,19 +191,18 @@ class TestSelectiveTransfer:
 
 
 class TestKATOOptimizer:
-    def _quick_config(self):
-        return KATOConfig(batch_size=3, surrogate_train_iters=10, kat_train_iters=30,
-                          pop_size=16, n_generations=5)
+    QUICK = dict(batch_size=3, surrogate_train_iters=10, kat_train_iters=30,
+                 pop_size=16, n_generations=5)
 
     def test_unconstrained_improves(self, quadratic_problem):
-        kato = KATO(quadratic_problem, config=self._quick_config(), rng=0)
+        kato = KATO(quadratic_problem, rng=0, **self.QUICK)
         history = kato.optimize(n_simulations=21, n_init=9)
         curve = history.best_curve(constrained=False)
         assert curve[-1] >= curve[8]
         assert curve[-1] > -0.2
 
     def test_constrained_without_transfer(self, constrained_problem):
-        kato = KATO(constrained_problem, config=self._quick_config(), rng=0)
+        kato = KATO(constrained_problem, rng=0, **self.QUICK)
         history = kato.optimize(n_simulations=21, n_init=12)
         assert len(history) >= 21
         assert kato.transfer_report()["weights"] is None
@@ -217,7 +216,7 @@ class TestKATOOptimizer:
             (source_x ** 2).sum(axis=1),
         ])
         source = SourceModel(source_x, source_y, train_iters=10)
-        kato = KATO(constrained_problem, source=source, config=self._quick_config(), rng=0)
+        kato = KATO(constrained_problem, source=source, rng=0, **self.QUICK)
         history = kato.optimize(n_simulations=24, n_init=12)
         report = kato.transfer_report()
         assert report["transfer"]
@@ -227,13 +226,29 @@ class TestKATOOptimizer:
         assert len(history) >= 24
 
     def test_rbf_kernel_option(self, quadratic_problem):
-        config = KATOConfig(batch_size=2, surrogate_train_iters=5, pop_size=16,
-                            n_generations=3, use_neural_kernel=False)
-        kato = KATO(quadratic_problem, config=config, rng=0)
+        kato = KATO(quadratic_problem, rng=0, batch_size=2, surrogate_train_iters=5,
+                    pop_size=16, n_generations=3, use_neural_kernel=False)
         history = kato.optimize(n_simulations=12, n_init=6)
         assert len(history) >= 12
 
+    @pytest.mark.parametrize("fixture", ["constrained_problem", "quadratic_problem"])
+    def test_without_transfer_is_neukgp_modified_mace(self, fixture, request):
+        # "KATO w/o TL" = Neural-Kernel GPs + the modified constrained MACE:
+        # KATO draws its kernel generator from its own after construction.
+        problem = request.getfixturevalue(fixture)
+        budget = dict(batch_size=3, surrogate_train_iters=10, pop_size=16,
+                      n_generations=5)
+        kato = KATO(problem, source=None, rng=np.random.default_rng(5), **budget)
+        mace_rng = np.random.default_rng(5)
+        kernel_rng = np.random.default_rng(mace_rng.integers(0, 2**31 - 1))
+        mace = MACE(problem, rng=mace_rng, variant="modified",
+                    kernel_factory=neural_kernel_factory(rng=kernel_rng), **budget)
+        kato_history = kato.optimize(n_simulations=15, n_init=9)
+        mace_history = mace.optimize(n_simulations=15, n_init=9)
+        np.testing.assert_array_equal(kato_history.x, mace_history.x)
+        np.testing.assert_array_equal(kato_history.objectives, mace_history.objectives)
+
     def test_fit_transfer_requires_source(self, quadratic_problem):
-        kato = KATO(quadratic_problem, config=self._quick_config(), rng=0)
+        kato = KATO(quadratic_problem, rng=0, **self.QUICK)
         with pytest.raises(RuntimeError):
             kato.fit_transfer_surrogate()

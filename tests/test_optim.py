@@ -1,11 +1,11 @@
-"""Tests for the optimizers: Adam, SGD, the L-BFGS wrapper and train_module."""
+"""Tests for the optimizers: Adam, the L-BFGS wrapper and train_module."""
 
 import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
 from repro.nn import Linear, MLP, Module, Parameter
-from repro.optim import Adam, SGD, minimize_lbfgs, train_module
+from repro.optim import Adam, minimize_lbfgs, train_module
 
 
 def _quadratic_parameter():
@@ -51,25 +51,6 @@ class TestAdam:
     def test_invalid_betas(self):
         with pytest.raises(ValueError):
             Adam([Parameter([1.0])], betas=(1.5, 0.9))
-
-
-class TestSGD:
-    def test_converges_with_momentum(self):
-        theta = _quadratic_parameter()
-        optimizer = SGD([theta], lr=0.05, momentum=0.8)
-        for _ in range(200):
-            optimizer.zero_grad()
-            ((theta - Tensor([1.0, 2.0])) ** 2).sum().backward()
-            optimizer.step()
-        assert np.allclose(theta.data, [1.0, 2.0], atol=1e-2)
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter([1.0])], momentum=1.0)
-
-    def test_invalid_lr(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter([1.0])], lr=0.0)
 
 
 class TestLBFGS:

@@ -114,13 +114,23 @@ class TestRegistry:
             resolve_optimizer("definitely_not_registered")
 
     def test_mace_dispatches_on_constraints(self):
-        from repro.bo.constrained_mace import ConstrainedMACE
+        # One class serves both names; the constrained ensemble is the
+        # variant, and "mace" keeps the original six-objective one.
         rng = np.random.default_rng(0)
         constrained = build_optimizer("mace", _StudyQuadratic(), rng)
-        assert isinstance(constrained, ConstrainedMACE)
+        assert type(constrained) is MACE
         assert constrained.variant == "full"
         unconstrained = build_optimizer("mace", _StudyQuadraticFree(), rng)
-        assert isinstance(unconstrained, MACE)
+        assert type(unconstrained) is MACE
+        modified = build_optimizer("modified_mace", _StudyQuadratic(), rng)
+        assert type(modified) is MACE
+        assert modified.variant == "modified"
+
+    @pytest.mark.parametrize("name", ["mace", "mace_modified", "kato"])
+    def test_unknown_optimizer_option_is_rejected(self, name):
+        spec = _spec(optimizer=name, optimizer_options={"not_an_option": 1})
+        with pytest.raises(OptimizationError, match="not_an_option"):
+            spec.build_optimizer(_StudyQuadratic(), np.random.default_rng(0))
 
     def test_capability_checks(self):
         rng = np.random.default_rng(0)
