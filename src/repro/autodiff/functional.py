@@ -1,8 +1,8 @@
 """Functional helpers built on :class:`repro.autodiff.Tensor`.
 
 These are the handful of array-level operations that the kernel and GP code
-need beyond plain tensor methods: pairwise squared distances, stacking and a
-numerically-safe exponential.
+need beyond plain tensor methods: pairwise squared distances, stacking and
+concatenation.
 """
 
 from __future__ import annotations
@@ -45,17 +45,6 @@ def pairwise_sqdist(x1: Tensor, x2: Tensor) -> Tensor:
     return x1._make(np.maximum(dist, 0.0), (x1, x2), backward)
 
 
-def pairwise_l1dist(x1: Tensor, x2: Tensor) -> Tensor:
-    """Pairwise sum of absolute coordinate differences (Manhattan distance)."""
-    x1 = as_tensor(x1)
-    x2 = as_tensor(x2)
-    n, d = x1.shape
-    m = x2.shape[0]
-    a = x1.reshape(n, 1, d)
-    b = x2.reshape(1, m, d)
-    return (a - b).abs().sum(axis=2)
-
-
 def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis, preserving gradients."""
     tensors = [as_tensor(t) for t in tensors]
@@ -84,17 +73,3 @@ def concatenate(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
     probe = tensors[0]
     return probe._make(data, tensors, backward)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two 1-D tensors as a scalar tensor."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    return (a * b).sum()
-
-
-def quadratic_form(vector: Tensor, matrix: Tensor) -> Tensor:
-    """Compute ``v^T M v`` for a 1-D ``vector`` and square ``matrix``."""
-    vector = as_tensor(vector)
-    matrix = as_tensor(matrix)
-    return dot(vector, matrix @ vector)

@@ -36,7 +36,7 @@ class USeMOC(BaseOptimizer):
 
     def __init__(self, problem: OptimizationProblem, batch_size: int = 4,
                  rng: RandomState = None, surrogate_train_iters: int = 50,
-                 pop_size: int = 64, n_generations: int = 25, beta: float = 2.0):
+                 pop_size: int = 64, n_generations: int = 30, beta: float = 2.0):
         super().__init__(problem, batch_size=batch_size, rng=rng,
                          surrogate_train_iters=surrogate_train_iters)
         if problem.n_constraints == 0:

@@ -23,7 +23,6 @@ from repro.autodiff import Tensor, no_grad
 from repro.autodiff.functional import as_tensor, stack
 from repro.errors import NotFittedError
 from repro.gp import MultiOutputGP
-from repro.kernels import Kernel, RBFKernel
 from repro.nn.layers import MLP
 from repro.nn.module import Module, Parameter
 from repro.optim.trainer import train_module
@@ -226,8 +225,3 @@ class _ColumnView:
         if self.flatten and len(self.columns) == 1:
             return mean.ravel(), var.ravel()
         return mean, var
-
-
-def default_source_kernel_factory(input_dim: int) -> Kernel:
-    """Default kernel for source GPs (ARD RBF keeps source fitting fast)."""
-    return RBFKernel(input_dim)

@@ -22,6 +22,7 @@ from repro.bo.problem import EvaluatedDesign, OptimizationProblem
 from repro.core.kat_gp import KATGP, SourceModel
 from repro.core.neuk_gp import neural_kernel_factory
 from repro.core.selective_transfer import SelectiveTransfer
+from repro.errors import OptimizationError
 from repro.study.registry import register_optimizer
 from repro.utils.random import RandomState, as_rng
 
@@ -63,7 +64,8 @@ class KATO(MACE):
         Training iterations of each KAT-GP refit.
     use_neural_kernel / kernel_kwargs:
         Neural-Kernel surrogates (with these :class:`NeuralKernel`
-        keywords), or ARD RBF ones when ``use_neural_kernel`` is false.
+        keywords), or ARD RBF ones when ``use_neural_kernel`` is false;
+        ``kernel_kwargs`` are then rejected rather than ignored.
 
     The batch size and the surrogate/NSGA-II budgets are :class:`MACE`'s.
     """
@@ -75,6 +77,10 @@ class KATO(MACE):
                  surrogate_train_iters: int = 60, kat_train_iters: int = 120,
                  pop_size: int = 64, n_generations: int = 30, ucb_beta: float = 2.0,
                  use_neural_kernel: bool = True, kernel_kwargs: dict | None = None):
+        if kernel_kwargs and not use_neural_kernel:
+            raise OptimizationError(
+                f"kernel_kwargs {sorted(kernel_kwargs)} configure the Neural "
+                "Kernel and would be ignored with use_neural_kernel=False")
         super().__init__(problem, batch_size=batch_size, rng=rng, variant="modified",
                          surrogate_train_iters=surrogate_train_iters,
                          pop_size=pop_size, n_generations=n_generations,

@@ -21,10 +21,6 @@ class NetlistError(ReproError):
     """A circuit netlist is malformed (unknown node, duplicate device, ...)."""
 
 
-class SimulationError(ReproError):
-    """A circuit simulation could not be completed."""
-
-
 class DesignSpaceError(ReproError):
     """A design-space definition or a candidate point is invalid."""
 

@@ -1,14 +1,12 @@
 """Experiment harnesses regenerating every table and figure of the paper.
 
 Each experiment function takes explicit budget/seed arguments so the same
-code serves quick smoke benchmarks and full paper-scale runs (see
-``EXPERIMENTS.md`` for the mapping and the recorded results).
+code serves quick smoke benchmarks and full paper-scale runs.  The
+optimization experiments run :class:`repro.study.StudySpec` studies through
+:func:`repro.study.run_study`.  The ``benchmarks/`` suite calls each
+harness at quick or paper scale (``KATO_BENCH_SCALE``).
 """
 
-from repro.experiments.runner import (
-    make_source_model,
-    run_repeated,
-)
 from repro.experiments.neuk_assessment import run_neuk_assessment
 from repro.experiments.fom_experiment import run_fom_experiment
 from repro.experiments.constrained_experiment import run_constrained_experiment
@@ -23,8 +21,6 @@ from repro.experiments.reporting import (
 )
 
 __all__ = [
-    "make_source_model",
-    "run_repeated",
     "run_neuk_assessment",
     "run_fom_experiment",
     "run_constrained_experiment",

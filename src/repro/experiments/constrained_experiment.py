@@ -31,13 +31,3 @@ def run_constrained_experiment(circuit: str = "two_stage_opamp",
                          tag=f"fig5:{circuit}")
         results[method] = run_study(spec)
     return results
-
-
-def constrained_summary(results: dict[str, dict[str, object]],
-                        minimize: bool = True) -> dict[str, float]:
-    """Final mean best feasible objective per method (right edge of Fig. 5)."""
-    summary = {}
-    for method, result in results.items():
-        final = result["summary"]["mean"][-1]
-        summary[method] = float(final)
-    return summary

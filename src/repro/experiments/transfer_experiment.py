@@ -75,13 +75,3 @@ def run_transfer_experiment(source_circuit: str, source_technology: str,
             n_samples=n_source_samples, seed=seed + 1, fom=True))
 
     return {name: run_study(spec) for name, spec in specs.items()}
-
-
-def run_fig6_panel(panel: str, **kwargs) -> dict[str, dict[str, object]]:
-    """Run one named panel of Fig. 6 (``"a"`` .. ``"f"``)."""
-    key = panel.lower()
-    if key not in FIG6_PANELS:
-        raise KeyError(f"unknown Fig. 6 panel {panel!r}; available: {sorted(FIG6_PANELS)}")
-    source_circuit, source_tech, target_circuit, target_tech = FIG6_PANELS[key]
-    return run_transfer_experiment(source_circuit, source_tech,
-                                   target_circuit, target_tech, **kwargs)

@@ -291,23 +291,6 @@ class GPRegression(Module):
         var = var * (self._y_std**2)
         return mean, var
 
-    def sample_posterior(self, x, n_samples: int = 1, rng=None) -> np.ndarray:
-        """Draw joint posterior samples at ``x`` (shape ``(n_samples, m)``)."""
-        from repro.utils.random import as_rng
-
-        self._require_fitted()
-        rng = as_rng(rng)
-        x = check_matrix(x, "x", n_cols=self.x_train_.shape[1])
-        k_star = self.kernel.matrix(x, self.x_train_)
-        mean = k_star @ self._alpha * self._y_std + self._y_mean
-        k_ss = self.kernel.matrix(x, x)
-        lower = solve_triangular(self._cho[0], k_star.T, lower=True)
-        cov = k_ss - lower.T @ lower
-        cov = cov * self._y_std**2
-        cov = cov + 1e-8 * np.trace(cov) / max(x.shape[0], 1) * np.eye(x.shape[0])
-        return rng.multivariate_normal(mean, cov, size=n_samples, method="cholesky"
-                                       if _is_posdef(cov) else "svd")
-
 
 def _nlml_terms(cov: np.ndarray, y: np.ndarray,
                 with_grad: bool) -> tuple[float | None, np.ndarray | None]:
@@ -334,11 +317,3 @@ def _nlml_terms(cov: np.ndarray, y: np.ndarray,
     inverse -= np.outer(alpha, alpha)
     inverse *= 0.5
     return nlml, inverse
-
-
-def _is_posdef(matrix: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(matrix)
-        return True
-    except np.linalg.LinAlgError:
-        return False

@@ -23,7 +23,7 @@ from repro.kernels.stationary import (
     RBFKernel,
     RationalQuadraticKernel,
 )
-from repro.kernels.neural import DeepKernel, DeepNeuralKernel, NeuralKernel, WideNeuralKernel
+from repro.kernels.neural import DeepKernel, NeuralKernel
 
 KERNEL_REGISTRY = {
     "rbf": RBFKernel,
@@ -63,8 +63,6 @@ __all__ = [
     "Matern52Kernel",
     "LinearKernel",
     "NeuralKernel",
-    "DeepNeuralKernel",
-    "WideNeuralKernel",
     "DeepKernel",
     "KERNEL_REGISTRY",
     "make_kernel",

@@ -1,4 +1,4 @@
-"""Neural Kernel (Neuk) and deep-kernel baselines.
+"""Neural Kernel (Neuk) and the deep-kernel baseline.
 
 The Neural Kernel (paper section 3.1, Eq. 8-10) composes primitive kernels
 the way a linear layer composes features:
@@ -7,13 +7,18 @@ the way a linear layer composes features:
    ``h_i(x, x') = h_i(W_i x + b_i, W_i x' + b_i)`` (Eq. 8);
 2. the kernel values are mixed by a linear layer
    ``z = W_z h(x, x') + b_z`` (Eq. 9);
-3. a final exponential guarantees positive semi-definiteness,
-   ``k_neuk(x, x') = exp(sum_j z_j + b_k)`` (Eq. 10).
+3. a final exponential gives ``k_neuk(x, x') = exp(sum_j z_j + b_k)``
+   (Eq. 10).
 
-A single Neuk unit is used in the paper; :class:`DeepNeuralKernel` (units
-stacked "horizontally") and :class:`WideNeuralKernel` (stacked "vertically")
-implement the extensions sketched in the same section.  :class:`DeepKernel`
-is the DKL baseline: an MLP feature extractor feeding an RBF kernel.
+The result is ``exp(sum_i w_i h_i + c)`` with ``w_i`` the column sums of
+the signed mixing matrix ``W_z`` (``mix_weight``).  The exponential of a
+PSD kernel is PSD, but ``sum_i w_i h_i`` is only PSD when every ``w_i >= 0``,
+so the Neuk is positive semi-definite only while every column sum of
+``mix_weight`` is non-negative.  Nothing enforces that: training can drive
+a column sum below zero and make the Gram matrix indefinite.
+
+:class:`DeepKernel` is the DKL baseline: an MLP feature extractor feeding
+an RBF kernel.
 """
 
 from __future__ import annotations
@@ -134,46 +139,6 @@ def _clip(t: Tensor, low: float, high: float) -> Tensor:
         t._accumulate(upstream * inside)
 
     return t._make(data, (t,), backward)
-
-
-class DeepNeuralKernel(Kernel):
-    """Neuk units stacked in sequence (DNeuk).
-
-    The output of unit ``l`` is used as a similarity feature that modulates
-    the next unit: ``k_{l+1}(x, x') = unit_{l+1}(x, x') * exp(z_l(x, x'))``
-    implemented here as a product of units, which preserves positive
-    semi-definiteness while increasing expressiveness.
-    """
-
-    def __init__(self, input_dim: int, n_units: int = 2, rng: RandomState = None, **kwargs):
-        super().__init__(input_dim)
-        if n_units < 1:
-            raise ValueError("n_units must be at least 1")
-        rng = as_rng(rng)
-        self.units = [NeuralKernel(input_dim, rng=rng, **kwargs) for _ in range(n_units)]
-
-    def forward(self, x1, x2) -> Tensor:
-        out = self.units[0](x1, x2)
-        for unit in self.units[1:]:
-            out = out * unit(x1, x2)
-        return out
-
-
-class WideNeuralKernel(Kernel):
-    """Neuk units stacked in parallel (WNeuk): a sum of units."""
-
-    def __init__(self, input_dim: int, n_units: int = 2, rng: RandomState = None, **kwargs):
-        super().__init__(input_dim)
-        if n_units < 1:
-            raise ValueError("n_units must be at least 1")
-        rng = as_rng(rng)
-        self.units = [NeuralKernel(input_dim, rng=rng, **kwargs) for _ in range(n_units)]
-
-    def forward(self, x1, x2) -> Tensor:
-        out = self.units[0](x1, x2)
-        for unit in self.units[1:]:
-            out = out + unit(x1, x2)
-        return out
 
 
 class DeepKernel(Kernel):

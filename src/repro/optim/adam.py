@@ -6,26 +6,26 @@ import numpy as np
 
 from repro.autodiff import Tensor
 
+_BETA1, _BETA2 = 0.9, 0.999
+_EPS = 1e-8
+
 
 class Adam:
     """Adam with optional gradient clipping.
+
+    The moment decay rates are fixed at ``(0.9, 0.999)`` and the
+    denominator guard at ``1e-8``, the defaults of the original paper.
 
     Used to maximise the GP marginal likelihood with respect to kernel,
     encoder and decoder parameters, mirroring the paper's PyTorch training.
     """
 
     def __init__(self, parameters: list[Tensor], lr: float = 0.01,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0, grad_clip: float | None = None):
+                 grad_clip: float | None = None):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
-        if not 0.0 <= betas[0] < 1.0 or not 0.0 <= betas[1] < 1.0:
-            raise ValueError(f"betas must be in [0, 1), got {betas}")
         self.parameters = list(parameters)
         self.lr = float(lr)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
         self.grad_clip = grad_clip
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
@@ -38,21 +38,19 @@ class Adam:
     def step(self) -> None:
         """Apply one Adam update using the currently accumulated gradients."""
         self._step += 1
-        bias1 = 1.0 - self.beta1 ** self._step
-        bias2 = 1.0 - self.beta2 ** self._step
+        bias1 = 1.0 - _BETA1 ** self._step
+        bias2 = 1.0 - _BETA2 ** self._step
         for index, param in enumerate(self.parameters):
             grad = param.grad
             if grad is None:
                 continue
             grad = np.asarray(grad, dtype=float)
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
             if self.grad_clip is not None:
                 norm = np.linalg.norm(grad)
                 if norm > self.grad_clip:
                     grad = grad * (self.grad_clip / (norm + 1e-12))
-            self._m[index] = self.beta1 * self._m[index] + (1 - self.beta1) * grad
-            self._v[index] = self.beta2 * self._v[index] + (1 - self.beta2) * grad**2
+            self._m[index] = _BETA1 * self._m[index] + (1 - _BETA1) * grad
+            self._v[index] = _BETA2 * self._v[index] + (1 - _BETA2) * grad**2
             m_hat = self._m[index] / bias1
             v_hat = self._v[index] / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)

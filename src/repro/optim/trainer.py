@@ -10,12 +10,13 @@ from repro.autodiff import Tensor
 from repro.nn.module import Module
 from repro.optim.adam import Adam
 
+_TOL = 1e-7
+_PATIENCE = 25
+_GRAD_CLIP = 10.0
+
 
 def train_module(module: Module, loss_fn: Callable[[], Tensor],
-                 n_iters: int = 100, lr: float = 0.05,
-                 tol: float = 1e-7, patience: int = 25,
-                 grad_clip: float | None = 10.0,
-                 verbose: bool = False) -> list[float]:
+                 n_iters: int = 100, lr: float = 0.05) -> list[float]:
     """Minimise ``loss_fn()`` over the parameters of ``module`` with Adam.
 
     The loss function closes over the module (and data) and returns a scalar
@@ -23,15 +24,16 @@ def train_module(module: Module, loss_fn: Callable[[], Tensor],
     likelihood and KAT-GP alignment training.
 
     Returns the loss history.  Training stops early when the best loss has
-    not improved by ``tol`` for ``patience`` consecutive iterations, or when
-    a non-finite loss is encountered (the last finite parameters are kept).
+    not improved by 1e-7 for 25 consecutive iterations, or when a non-finite
+    loss is encountered (the last finite parameters are kept).  Gradients
+    are clipped to norm 10.
     """
-    optimizer = Adam(module.parameters(), lr=lr, grad_clip=grad_clip)
+    optimizer = Adam(module.parameters(), lr=lr, grad_clip=_GRAD_CLIP)
     history: list[float] = []
     best_loss = np.inf
     best_state = module.state_dict()
     stall = 0
-    for iteration in range(int(n_iters)):
+    for _ in range(int(n_iters)):
         optimizer.zero_grad()
         loss = loss_fn()
         value = float(loss.data)
@@ -39,18 +41,16 @@ def train_module(module: Module, loss_fn: Callable[[], Tensor],
             module.load_state_dict(best_state)
             break
         history.append(value)
-        if value < best_loss - tol:
+        if value < best_loss - _TOL:
             best_loss = value
             best_state = module.state_dict()
             stall = 0
         else:
             stall += 1
-            if stall >= patience:
+            if stall >= _PATIENCE:
                 break
         loss.backward()
         optimizer.step()
-        if verbose and iteration % 20 == 0:  # pragma: no cover - logging only
-            print(f"[train] iter={iteration} loss={value:.6f}")
     # Keep the best parameters seen rather than the last iterate.
     if history and history[-1] > best_loss:
         module.load_state_dict(best_state)

@@ -45,10 +45,6 @@ class Circuit:
         self._dirty = True
         return device
 
-    def add_all(self, devices) -> None:
-        for device in devices:
-            self.add(device)
-
     def __len__(self) -> int:
         return len(self.devices)
 

@@ -12,8 +12,7 @@ registers itself with :func:`register_optimizer`, declaring
   transfer source is required), so misconfigured studies fail with a clear
   message before any simulation is spent;
 * a **builder** turning ``(problem, rng, context)`` into a configured
-  optimizer instance, replacing the ``if/elif`` factories that used to live
-  in ``experiments/runner.py``.
+  optimizer instance.
 
 This module is a leaf: it imports only the standard library, so optimizer
 modules can import the decorator without cycles.  Resolution lazily imports

@@ -1,9 +1,8 @@
 """Transfer-source construction for studies.
 
-Home of :func:`make_source_model` (formerly in ``experiments/runner.py``):
-the study layer builds sources declaratively from
-:class:`~repro.study.spec.TransferSpec`, and the experiment harnesses import
-it from here.
+Home of :func:`make_source_model`: the study layer builds sources
+declaratively from :class:`~repro.study.spec.TransferSpec`, and the
+experiment harnesses import it from here.
 """
 
 from __future__ import annotations

@@ -364,9 +364,8 @@ def run_study(spec: StudySpec, callbacks: tuple = (),
         :class:`~repro.engine.ExecutionBackend` fans whole seeds out (each
         worker rebuilds its problem and transfer source from the spec).
 
-    Returns a dict with the same shape the retired ``run_repeated`` helper
-    produced -- ``curves`` (array), ``summary`` (mean/std/... per budget),
-    ``histories`` -- plus ``results`` (the per-seed :class:`StudyResult`
+    Returns a dict with ``curves`` (array), ``summary`` (mean/std/... per
+    budget), ``histories``, ``results`` (the per-seed :class:`StudyResult`
     records) and ``seeds``.
     """
     spec.validate()

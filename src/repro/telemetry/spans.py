@@ -1,4 +1,4 @@
-"""Thread-local nested spans with Perfetto-compatible trace export.
+"""Nested spans with Perfetto-compatible trace export.
 
 A span brackets one unit of work (study batch, design evaluation, analysis,
 solve).  Spans nest per thread -- the exporter emits Chrome/Perfetto
@@ -62,14 +62,6 @@ class TraceBuffer:
         return len(events)
 
 
-class _ThreadState(threading.local):
-    def __init__(self):
-        self.stack: list[str] = []
-
-
-_THREAD = _ThreadState()
-
-
 class Span:
     """One timed, named region; use as a context manager."""
 
@@ -82,13 +74,11 @@ class Span:
         self._start_ns = 0
 
     def __enter__(self) -> "Span":
-        _THREAD.stack.append(self.name)
         self._start_ns = time.perf_counter_ns()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         duration_ns = time.perf_counter_ns() - self._start_ns
-        _THREAD.stack.pop()
         event = {"name": self.name, "ph": "X",
                  "ts": self._start_ns / 1000.0,
                  "dur": duration_ns / 1000.0,
@@ -112,8 +102,3 @@ class NullSpan:
 
 
 NULL_SPAN = NullSpan()
-
-
-def current_depth() -> int:
-    """Nesting depth of the calling thread's open spans (for tests)."""
-    return len(_THREAD.stack)

@@ -1,6 +1,6 @@
 """Shared utilities: validation, random-state handling, scaling and statistics."""
 
-from repro.utils.random import as_rng, spawn_rngs
+from repro.utils.random import as_rng
 from repro.utils.validation import (
     check_array,
     check_matrix,
@@ -19,7 +19,6 @@ from repro.utils.stats import (
 
 __all__ = [
     "as_rng",
-    "spawn_rngs",
     "check_array",
     "check_matrix",
     "check_positive",

@@ -24,28 +24,11 @@ def as_rng(seed: RandomState = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: RandomState, count: int) -> list[np.random.Generator]:
-    """Create ``count`` independent generators derived from ``seed``.
-
-    Useful for running repeated experiments (the paper reports statistics
-    over five random runs) with reproducible yet independent streams.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    root = np.random.SeedSequence(seed if isinstance(seed, int) else None)
-    if isinstance(seed, np.random.Generator):
-        # Derive child seeds from the generator itself to stay reproducible.
-        children = seed.integers(0, 2**31 - 1, size=count)
-        return [np.random.default_rng(int(c)) for c in children]
-    return [np.random.default_rng(s) for s in root.spawn(count)]
-
-
 def spawn_seed_ints(seed: int, count: int) -> list[int]:
     """``count`` independent *integer* seeds derived from ``seed``.
 
-    Unlike :func:`spawn_rngs` this returns plain ints, so each child run
-    stays individually serializable (the Study API records them in specs and
-    checkpoints).
+    Plain ints keep each child run individually serializable (the Study API
+    records them in specs and checkpoints).
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")

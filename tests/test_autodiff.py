@@ -8,10 +8,7 @@ from repro.autodiff import Tensor, no_grad
 from repro.autodiff.functional import (
     as_tensor,
     concatenate,
-    dot,
-    pairwise_l1dist,
     pairwise_sqdist,
-    quadratic_form,
     stack,
 )
 from repro.gp import GPRegression
@@ -280,12 +277,6 @@ class TestFunctional:
         for a, b in zip(fused, chained):
             assert np.array_equal(a, b)
 
-    def test_pairwise_l1dist(self, rng):
-        a = rng.normal(size=(3, 2))
-        b = rng.normal(size=(2, 2))
-        expected = np.abs(a[:, None, :] - b[None, :, :]).sum(-1)
-        assert np.allclose(pairwise_l1dist(Tensor(a), Tensor(b)).data, expected)
-
     def test_stack_and_grad(self, rng):
         tensors = [Tensor(rng.normal(size=(2, 2)), requires_grad=True) for _ in range(3)]
         out = stack(tensors, axis=0)
@@ -301,12 +292,6 @@ class TestFunctional:
         assert out.shape == (6, 3)
         out.sum().backward()
         assert np.allclose(a.grad, 1.0) and np.allclose(b.grad, 1.0)
-
-    def test_dot_and_quadratic_form(self, rng):
-        v = rng.normal(size=(4,))
-        m = rng.normal(size=(4, 4))
-        assert dot(Tensor(v), Tensor(v)).item() == pytest.approx(float(v @ v))
-        assert quadratic_form(Tensor(v), Tensor(m)).item() == pytest.approx(float(v @ m @ v))
 
     def test_as_tensor_passthrough(self):
         t = Tensor([1.0])

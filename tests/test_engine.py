@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, no_grad
-from repro.bo import RandomSearch
 from repro.bo.design_space import DesignSpace, DesignVariable
 from repro.bo.problem import Constraint, OptimizationProblem
 from repro.circuits import TwoStageOpAmp, make_problem
+from repro.circuits.registry import register_problem
 from repro.engine import (
     BatchedBackend,
     DesignCache,
@@ -24,7 +24,7 @@ from repro.engine import (
     resolve_backend,
     simulate_job,
 )
-from repro.experiments.runner import run_repeated
+from repro.study import run_study
 from repro.study.spec import SpecError, StudySpec
 from repro.spice import ac_analysis, dc_operating_point
 from repro.spice.ac import _ac_analysis_per_frequency, _ac_analysis_vectorized
@@ -45,6 +45,15 @@ class PicklableQuadratic(OptimizationProblem):
         return {"f": float(-np.sum((x - 0.6) ** 2))}
 
 
+@register_problem("engine_quadratic", overwrite=True)
+class _RegisteredQuadratic(PicklableQuadratic):
+    """:class:`PicklableQuadratic` under the registry's constructor contract,
+    so a :class:`StudySpec` (and each process worker) can rebuild it."""
+
+    def __init__(self, technology: str = "180nm", dim: int = 3):
+        super().__init__(dim=dim)
+
+
 class FragileProblem(OptimizationProblem):
     """Toy constrained problem whose simulation raises for x0 > 0.5."""
 
@@ -57,14 +66,6 @@ class FragileProblem(OptimizationProblem):
         if design["x0"] > 0.5:
             raise RuntimeError("diverged")
         return {"cost": design["x0"] + design["x1"], "g": design["x1"]}
-
-
-def _quadratic_problem_factory():
-    return PicklableQuadratic(dim=3)
-
-
-def _random_search_factory(problem, rng):
-    return RandomSearch(problem, batch_size=4, rng=rng)
 
 
 def _default_backend_name(_):
@@ -462,15 +463,15 @@ class TestThreadLocalGrad:
 # ---------------------------------------------------------------------- #
 class TestRunRepeatedBackends:
     def test_serial_and_process_runs_are_byte_identical(self):
-        def run(backend):
-            return run_repeated(_quadratic_problem_factory, _random_search_factory,
-                                n_simulations=12, n_init=4, n_seeds=2, seed=9,
-                                constrained=False, backend=backend)
-        serial = run("serial")
-        serial_again = run("serial")
+        spec = StudySpec(optimizer="rs", circuit="engine_quadratic",
+                         n_simulations=12, n_init=4, batch_size=4, seed=9,
+                         n_seeds=2)
+        serial = run_study(spec)
+        serial_again = run_study(spec)
         with ProcessBackend(max_workers=2) as backend:
-            pooled = run(backend)
+            pooled = run_study(spec, runner_backend=backend)
         np.testing.assert_array_equal(serial["curves"], serial_again["curves"])
         np.testing.assert_array_equal(serial["curves"], pooled["curves"])
+        assert len(serial["histories"]) == len(pooled["histories"]) == 2
         for a, b in zip(serial["histories"], pooled["histories"]):
             assert pickle.dumps(a.evaluations) == pickle.dumps(b.evaluations)

@@ -7,7 +7,6 @@ from repro.experiments import (
     curves_to_rows,
     format_table,
     improvement_ratio,
-    make_source_model,
     run_constrained_experiment,
     run_fom_experiment,
     run_neuk_assessment,
@@ -15,6 +14,7 @@ from repro.experiments import (
 )
 from repro.experiments.fom_experiment import fom_summary
 from repro.experiments.transfer_experiment import FIG6_PANELS
+from repro.study.sources import make_source_model
 
 
 class TestReporting:

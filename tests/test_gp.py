@@ -111,12 +111,6 @@ class TestGPRegression:
         gp = GPRegression().fit(x, y, n_iters=20)
         assert gp.noise > 0
 
-    def test_sample_posterior_shape(self, rng):
-        x, y = _toy_data(rng)
-        gp = GPRegression().fit(x, y, n_iters=20)
-        samples = gp.sample_posterior(x[:6], n_samples=3, rng=rng)
-        assert samples.shape == (3, 6)
-
     def test_predict_tensor_matches_predict(self, rng):
         x, y = _toy_data(rng)
         gp = GPRegression().fit(x, y, n_iters=30)

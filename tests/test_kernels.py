@@ -8,7 +8,6 @@ from repro.autodiff import Tensor
 from repro.kernels import (
     ConstantKernel,
     DeepKernel,
-    DeepNeuralKernel,
     KERNEL_REGISTRY,
     LinearKernel,
     Matern12Kernel,
@@ -22,7 +21,6 @@ from repro.kernels import (
     ScaleKernel,
     SumKernel,
     WhiteKernel,
-    WideNeuralKernel,
     make_kernel,
 )
 
@@ -224,16 +222,6 @@ class TestNeuralKernel:
     def test_unknown_primitive(self):
         with pytest.raises(ValueError):
             NeuralKernel(3, primitives=("bogus",))
-
-    def test_deep_and_wide_stacks(self, rng):
-        x = _random_inputs(rng, 6)
-        for cls in (DeepNeuralKernel, WideNeuralKernel):
-            kernel = cls(3, n_units=2, rng=0)
-            k = kernel.matrix(x, x)
-            assert np.allclose(k, k.T, atol=1e-8)
-            assert np.linalg.eigvalsh(k).min() > -1e-6
-        with pytest.raises(ValueError):
-            DeepNeuralKernel(3, n_units=0)
 
     def test_deep_kernel_baseline(self, rng):
         kernel = DeepKernel(3, feature_dim=4, rng=0)

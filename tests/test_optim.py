@@ -35,22 +35,9 @@ class TestAdam:
         optimizer.step()
         assert abs(theta.data[0]) <= 1.0 + 1e-9
 
-    def test_weight_decay_shrinks(self):
-        theta = Parameter([10.0])
-        optimizer = Adam([theta], lr=0.5, weight_decay=1.0)
-        for _ in range(50):
-            optimizer.zero_grad()
-            theta.grad = np.array([0.0])
-            optimizer.step()
-        assert abs(theta.data[0]) < 10.0
-
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
             Adam([Parameter([1.0])], lr=-0.1)
-
-    def test_invalid_betas(self):
-        with pytest.raises(ValueError):
-            Adam([Parameter([1.0])], betas=(1.5, 0.9))
 
 
 class TestLBFGS:
@@ -107,7 +94,7 @@ class TestTrainModule:
                 return self.theta
 
         history = train_module(Wrapper(), lambda: (theta * 0.0).sum(),
-                               n_iters=500, patience=5)
+                               n_iters=500)
         assert len(history) < 500
 
     def test_keeps_best_state_on_divergence(self, rng):

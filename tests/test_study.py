@@ -7,13 +7,16 @@ suite fast while exercising the same code paths as the real testbenches.
 
 from __future__ import annotations
 
+import inspect
 import json
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.baselines.usemoc import USeMOC
 from repro.bo.design_space import DesignSpace, DesignVariable
-from repro.bo.mace import MACE
+from repro.bo.mace import MACE, search_budget
 from repro.bo.problem import Constraint, OptimizationProblem
 from repro.circuits.registry import register_problem
 from repro.errors import OptimizationError
@@ -126,10 +129,21 @@ class TestRegistry:
         assert type(modified) is MACE
         assert modified.variant == "modified"
 
-    @pytest.mark.parametrize("name", ["mace", "mace_modified", "kato"])
-    def test_unknown_optimizer_option_is_rejected(self, name):
-        spec = _spec(optimizer=name, optimizer_options={"not_an_option": 1})
-        with pytest.raises(OptimizationError, match="not_an_option"):
+    @pytest.mark.parametrize("cls", [MACE, USeMOC])
+    def test_constructor_defaults_are_paper_search_budget(self, cls):
+        paper = search_budget(BuildContext(quick=False))
+        signature = inspect.signature(cls)
+        for key in ("surrogate_train_iters", "pop_size", "n_generations"):
+            assert signature.parameters[key].default == paper[key], key
+
+    @pytest.mark.parametrize("name,options,match", [
+        pytest.param(name, {"not_an_option": 1}, "not_an_option", id=name)
+        for name in ("mace", "mace_modified", "kato")] + [
+        pytest.param("kato", {"use_neural_kernel": False, "kernel_kwargs": {"n_mix": 2}},
+                     "kernel_kwargs", id="kato-ignored_kernel_kwargs")])
+    def test_unknown_optimizer_option_is_rejected(self, name, options, match):
+        spec = _spec(optimizer=name, optimizer_options=options)
+        with pytest.raises(OptimizationError, match=match):
             spec.build_optimizer(_StudyQuadratic(), np.random.default_rng(0))
 
     def test_capability_checks(self):
@@ -314,8 +328,13 @@ class TestStudy:
     def test_run_study_process_runner_matches_serial(self):
         spec = _spec(n_seeds=2)
         serial = run_study(spec)
+        serial_again = run_study(spec)
         pooled = run_study(spec, runner_backend="process")
+        np.testing.assert_array_equal(serial["curves"], serial_again["curves"])
         np.testing.assert_array_equal(serial["curves"], pooled["curves"])
+        assert len(serial["histories"]) == len(pooled["histories"]) == 2
+        for a, b in zip(serial["histories"], pooled["histories"]):
+            assert pickle.dumps(a.evaluations) == pickle.dumps(b.evaluations)
 
     def test_optimizer_factory_escape_hatch(self):
         def factory(problem, rng):

@@ -19,9 +19,9 @@ from repro.utils import (
     norm_logpdf,
     norm_pdf,
     running_best,
-    spawn_rngs,
     summarize_runs,
 )
+from repro.utils.random import spawn_seed_ints
 
 
 class TestRandom:
@@ -35,25 +35,22 @@ class TestRandom:
     def test_as_rng_none(self):
         assert isinstance(as_rng(None), np.random.Generator)
 
-    def test_spawn_rngs_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
+    def test_spawn_seed_ints_count(self):
+        seeds = spawn_seed_ints(0, 5)
+        assert len(seeds) == 5
+        assert all(isinstance(seed, int) for seed in seeds)
 
-    def test_spawn_rngs_independent_streams(self):
-        a, b = spawn_rngs(0, 2)
-        assert a.uniform() != b.uniform()
+    def test_spawn_seed_ints_independent_streams(self):
+        a, b = spawn_seed_ints(0, 2)
+        assert a != b
+        assert as_rng(a).uniform() != as_rng(b).uniform()
 
-    def test_spawn_rngs_reproducible(self):
-        first = [g.uniform() for g in spawn_rngs(42, 3)]
-        second = [g.uniform() for g in spawn_rngs(42, 3)]
-        assert first == second
+    def test_spawn_seed_ints_reproducible(self):
+        assert spawn_seed_ints(42, 3) == spawn_seed_ints(42, 3)
 
-    def test_spawn_rngs_negative_count(self):
+    def test_spawn_seed_ints_negative_count(self):
         with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_spawn_from_generator(self):
-        children = spawn_rngs(np.random.default_rng(1), 2)
-        assert len(children) == 2
+            spawn_seed_ints(0, -1)
 
 
 class TestValidation:
