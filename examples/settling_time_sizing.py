@@ -46,7 +46,7 @@ def main() -> None:
     study = Study(spec,
                   callbacks=(LoggingCallback(),
                              EarlyStopping(patience=4, min_delta=1e-3)),
-                  checkpoint_path=CHECKPOINT)
+                  checkpoint=CHECKPOINT)
     problem = spec.build_problem()
     print(f"Problem: {problem.name}")
     print(f"  objective : minimise {problem.objective} (us)")

@@ -1,17 +1,12 @@
 """Acquisition functions for Bayesian optimization.
 
 Implements the paper's Eq. 5-7 (PI, EI, UCB), the probability of feasibility
-used by constrained MACE, the weighted-EI formulation of Lyu et al. (2018)
-and the acquisition ensembles searched by (modified) MACE.
+used by constrained MACE, an EI callable bound to a surrogate (TLMBO) and the
+acquisition ensembles searched by (modified) MACE.
 """
 
 from repro.acquisition.functions import (
     ExpectedImprovement,
-    LowerConfidenceBound,
-    ProbabilityOfFeasibility,
-    ProbabilityOfImprovement,
-    UpperConfidenceBound,
-    WeightedExpectedImprovement,
     expected_improvement,
     probability_of_improvement,
     upper_confidence_bound,
@@ -27,11 +22,6 @@ __all__ = [
     "probability_of_improvement",
     "upper_confidence_bound",
     "ExpectedImprovement",
-    "ProbabilityOfImprovement",
-    "UpperConfidenceBound",
-    "LowerConfidenceBound",
-    "ProbabilityOfFeasibility",
-    "WeightedExpectedImprovement",
     "MACEObjectives",
     "ConstrainedMACEObjectives",
     "ModifiedConstrainedMACEObjectives",

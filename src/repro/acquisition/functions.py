@@ -1,8 +1,8 @@
 """Scalar acquisition functions (maximisation convention).
 
 All functions take posterior mean/variance arrays and return the acquisition
-value per point; the class wrappers bind a surrogate model so instances can be
-called directly on candidate design matrices.
+value per point; :class:`ExpectedImprovement` binds a surrogate model so an
+instance can be called directly on candidate design matrices.
 """
 
 from __future__ import annotations
@@ -89,92 +89,16 @@ def probability_of_feasibility(means, variances, thresholds, senses) -> np.ndarr
     return probability
 
 
-class _SurrogateAcquisition:
-    """Base for acquisition callables bound to a surrogate with ``predict``."""
+class ExpectedImprovement:
+    """EI (paper Eq. 6) bound to a surrogate with ``predict`` and an incumbent."""
 
-    def __init__(self, model, minimize: bool = False):
+    def __init__(self, model, best: float, minimize: bool = False):
         self.model = model
         self.minimize = bool(minimize)
+        self.best = float(best)
 
-    def _posterior(self, x) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, x) -> np.ndarray:
         mean, variance = self.model.predict(x)
-        return np.asarray(mean, dtype=float).ravel(), np.asarray(variance, dtype=float).ravel()
-
-
-class ExpectedImprovement(_SurrogateAcquisition):
-    """EI bound to a surrogate and an incumbent."""
-
-    def __init__(self, model, best: float, minimize: bool = False, xi: float = 0.0):
-        super().__init__(model, minimize)
-        self.best = float(best)
-        self.xi = float(xi)
-
-    def __call__(self, x) -> np.ndarray:
-        mean, variance = self._posterior(x)
-        return expected_improvement(mean, variance, self.best, self.minimize, self.xi)
-
-
-class ProbabilityOfImprovement(_SurrogateAcquisition):
-    """PI bound to a surrogate and an incumbent."""
-
-    def __init__(self, model, best: float, minimize: bool = False, xi: float = 0.0):
-        super().__init__(model, minimize)
-        self.best = float(best)
-        self.xi = float(xi)
-
-    def __call__(self, x) -> np.ndarray:
-        mean, variance = self._posterior(x)
-        return probability_of_improvement(mean, variance, self.best, self.minimize, self.xi)
-
-
-class UpperConfidenceBound(_SurrogateAcquisition):
-    """UCB (or LCB for minimisation) bound to a surrogate."""
-
-    def __init__(self, model, beta: float = 2.0, minimize: bool = False):
-        super().__init__(model, minimize)
-        self.beta = float(beta)
-
-    def __call__(self, x) -> np.ndarray:
-        mean, variance = self._posterior(x)
-        return upper_confidence_bound(mean, variance, self.beta, self.minimize)
-
-
-class LowerConfidenceBound(UpperConfidenceBound):
-    """Alias emphasising the minimisation use of the confidence bound."""
-
-    def __init__(self, model, beta: float = 2.0):
-        super().__init__(model, beta=beta, minimize=True)
-
-
-class ProbabilityOfFeasibility:
-    """Product of per-constraint satisfaction probabilities (paper section 3.3)."""
-
-    def __init__(self, constraint_model, thresholds, senses):
-        self.constraint_model = constraint_model
-        self.thresholds = np.asarray(thresholds, dtype=float)
-        self.senses = list(senses)
-        if len(self.senses) != self.thresholds.shape[0]:
-            raise ValueError("thresholds and senses must have the same length")
-
-    def __call__(self, x) -> np.ndarray:
-        means, variances = self.constraint_model.predict(x)
-        return probability_of_feasibility(means, variances, self.thresholds, self.senses)
-
-
-class WeightedExpectedImprovement(_SurrogateAcquisition):
-    """Weighted EI of Lyu et al. (2018): EI of the objective times feasibility.
-
-    Turns the constrained problem into a single-objective acquisition, used
-    as an additional baseline and inside SMAC-RF for constrained tasks.
-    """
-
-    def __init__(self, model, best: float, feasibility: ProbabilityOfFeasibility,
-                 minimize: bool = False):
-        super().__init__(model, minimize)
-        self.best = float(best)
-        self.feasibility = feasibility
-
-    def __call__(self, x) -> np.ndarray:
-        mean, variance = self._posterior(x)
-        ei = expected_improvement(mean, variance, self.best, self.minimize)
-        return ei * self.feasibility(x)
+        mean = np.asarray(mean, dtype=float).ravel()
+        variance = np.asarray(variance, dtype=float).ravel()
+        return expected_improvement(mean, variance, self.best, self.minimize)

@@ -1,8 +1,7 @@
 """Functional helpers built on :class:`repro.autodiff.Tensor`.
 
 These are the handful of array-level operations that the kernel and GP code
-need beyond plain tensor methods: pairwise squared distances, stacking and
-concatenation.
+need beyond plain tensor methods: pairwise squared distances and stacking.
 """
 
 from __future__ import annotations
@@ -54,22 +53,6 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
         pieces = np.split(np.asarray(upstream), len(tensors), axis=axis)
         for tensor, piece in zip(tensors, pieces):
             tensor._accumulate(np.squeeze(piece, axis=axis))
-
-    probe = tensors[0]
-    return probe._make(data, tensors, backward)
-
-
-def concatenate(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along an existing axis, preserving gradients."""
-    tensors = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def backward(upstream: np.ndarray) -> None:
-        pieces = np.split(np.asarray(upstream), offsets, axis=axis)
-        for tensor, piece in zip(tensors, pieces):
-            tensor._accumulate(piece)
 
     probe = tensors[0]
     return probe._make(data, tensors, backward)

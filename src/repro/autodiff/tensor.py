@@ -114,10 +114,6 @@ class Tensor:
             raise ValueError("item() only works for single-element tensors")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -301,15 +297,6 @@ class Tensor:
 
         def backward(upstream: np.ndarray) -> None:
             self._accumulate(upstream * (self.data > 0.0))
-
-        return self._make(data, (self,), backward)
-
-    def softplus(self) -> "Tensor":
-        data = np.logaddexp(0.0, self.data)
-
-        def backward(upstream: np.ndarray) -> None:
-            sig = 1.0 / (1.0 + np.exp(-np.clip(self.data, -700, 700)))
-            self._accumulate(upstream * sig)
 
         return self._make(data, (self,), backward)
 

@@ -3,7 +3,6 @@
 from repro.baselines.mesmoc import MESMOC
 from repro.baselines.usemoc import USeMOC
 from repro.baselines.tlmbo import TLMBO
-from repro.baselines.human_expert import evaluate_expert, expert_design, expert_designs
+from repro.baselines.human_expert import evaluate_expert, expert_design
 
-__all__ = ["MESMOC", "USeMOC", "TLMBO", "evaluate_expert", "expert_design",
-           "expert_designs"]
+__all__ = ["MESMOC", "USeMOC", "TLMBO", "evaluate_expert", "expert_design"]

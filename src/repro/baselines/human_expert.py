@@ -60,11 +60,6 @@ _EXPERT_DESIGNS: dict[tuple[str, str], dict[str, float]] = {
 }
 
 
-def expert_designs() -> dict[tuple[str, str], dict[str, float]]:
-    """All stored expert designs keyed by ``(circuit, technology)``."""
-    return {key: dict(value) for key, value in _EXPERT_DESIGNS.items()}
-
-
 def expert_design(circuit: str, technology: str) -> dict[str, float]:
     """The stored expert design for one circuit / technology pair."""
     key = (circuit.lower(), technology.lower())

@@ -70,11 +70,6 @@ class CornerSpec:
         if self.vdd_scale <= 0.0:
             raise ValueError(f"vdd_scale must be positive, got {self.vdd_scale}")
 
-    @property
-    def is_nominal(self) -> bool:
-        return (self.process == "tt" and self.temperature == 27.0
-                and self.vdd_scale == 1.0)
-
     def describe(self) -> str:
         return (f"{self.name}({self.process}, {self.temperature:g}C, "
                 f"{self.vdd_scale:g}*vdd)")

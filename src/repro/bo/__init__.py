@@ -6,7 +6,7 @@
   interface the circuit testbenches implement.
 * :class:`OptimizationHistory` -- per-simulation records and best-so-far
   curves (the x-axis of every figure in the paper).
-* Optimizers: random search, single-objective GP-EI, SMAC-RF and
+* Optimizers: random search, SMAC-RF and
   :class:`MACE`, the one acquisition-ensemble optimizer: {UCB, EI, PI} on
   FOM problems, and on constrained ones the original six-objective
   ensemble (``variant="full"``) or KATO's three-objective one
@@ -16,7 +16,7 @@
 from repro.bo.design_space import DesignSpace, DesignVariable
 from repro.bo.problem import Constraint, EvaluatedDesign, OptimizationProblem
 from repro.bo.history import OptimizationHistory
-from repro.bo.base import BaseOptimizer, SingleObjectiveBO
+from repro.bo.base import BaseOptimizer
 from repro.bo.random_search import RandomSearch
 from repro.bo.smac_rf import SMACRF
 from repro.bo.mace import MACE
@@ -29,7 +29,6 @@ __all__ = [
     "OptimizationProblem",
     "OptimizationHistory",
     "BaseOptimizer",
-    "SingleObjectiveBO",
     "RandomSearch",
     "SMACRF",
     "MACE",

@@ -1,4 +1,4 @@
-"""Optimizer base class and a plain single-objective GP-EI optimizer."""
+"""Optimizer base class: the shared ask/tell loop and surrogate fit."""
 
 from __future__ import annotations
 
@@ -6,14 +6,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.acquisition import ExpectedImprovement
 from repro.bo.history import OptimizationHistory
 from repro.bo.problem import EvaluatedDesign, OptimizationProblem
 from repro.errors import OptimizationError
 from repro.gp import GPRegression, MultiOutputGP
-from repro.kernels import Kernel, RBFKernel
-from repro.optim.lbfgs import minimize_lbfgs
-from repro.study.registry import register_optimizer
+from repro.kernels import Kernel
 from repro.utils.random import RandomState, as_rng
 
 
@@ -143,54 +140,3 @@ class BaseOptimizer:
             if callback is not None:
                 callback(self.history)
         return self.history
-
-
-@register_optimizer("gp_ei", aliases=("bo", "gp"),
-                    description="Vanilla GP + expected-improvement BO")
-class SingleObjectiveBO(BaseOptimizer):
-    """Vanilla GP + expected-improvement BO (sequential, batch via constant liar)."""
-
-    name = "gp_ei"
-
-    def __init__(self, problem: OptimizationProblem, kernel: Kernel | None = None,
-                 batch_size: int = 1, rng: RandomState = None,
-                 surrogate_train_iters: int = 50, acq_restarts: int = 5):
-        super().__init__(problem, batch_size=batch_size, rng=rng,
-                         surrogate_train_iters=surrogate_train_iters)
-        self.kernel = kernel
-        self.acq_restarts = int(acq_restarts)
-
-    def _fit_surrogate(self) -> GPRegression:
-        x_unit, y = self._training_data()
-        kernel = self.kernel if self.kernel is not None else RBFKernel(x_unit.shape[1])
-        model = GPRegression(kernel=kernel)
-        model.fit(x_unit, y, n_iters=self.surrogate_train_iters)
-        return model
-
-    def propose(self) -> np.ndarray:
-        model = self._fit_surrogate()
-        best = self.incumbent(constrained=False)
-        bounds = self.problem.design_space.unit_bounds
-        proposals = []
-        # Constant-liar batching: pretend each accepted candidate achieved the
-        # incumbent so subsequent candidates spread out.
-        lie_x, lie_y = [], []
-        for _ in range(self.batch_size):
-            acquisition = ExpectedImprovement(model, best, minimize=self.problem.minimize)
-
-            def negative_acq(point: np.ndarray) -> float:
-                return -float(acquisition(point.reshape(1, -1))[0])
-
-            candidate, _ = minimize_lbfgs(negative_acq, bounds,
-                                          n_restarts=self.acq_restarts, rng=self.rng)
-            proposals.append(candidate)
-            if self.batch_size > 1:
-                lie_x.append(candidate)
-                lie_y.append(best)
-                x_unit, y = self._training_data()
-                x_aug = np.vstack([x_unit, np.asarray(lie_x)])
-                y_aug = np.concatenate([y, np.asarray(lie_y)])
-                model = GPRegression(kernel=self.kernel if self.kernel is not None
-                                     else RBFKernel(x_aug.shape[1]))
-                model.fit(x_aug, y_aug, n_iters=max(10, self.surrogate_train_iters // 2))
-        return np.asarray(proposals)

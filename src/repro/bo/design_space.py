@@ -136,12 +136,6 @@ class DesignSpace:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DesignSpace({', '.join(self.names)})"
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError as exc:
-            raise DesignSpaceError(f"unknown design variable {name!r}") from exc
-
     # ------------------------------------------------------------------ #
     # transforms                                                          #
     # ------------------------------------------------------------------ #

@@ -111,15 +111,6 @@ class OptimizationHistory:
             curve[index] = best
         return curve
 
-    def simulations_to_reach(self, target: float, constrained: bool = True) -> int | None:
-        """Number of simulations needed to reach ``target`` (None if never)."""
-        curve = self.best_curve(constrained)
-        if self.problem.minimize:
-            hits = np.nonzero(curve <= target)[0]
-        else:
-            hits = np.nonzero(curve >= target)[0]
-        return int(hits[0]) + 1 if hits.size else None
-
     def summary(self) -> dict[str, object]:
         """Compact dictionary used by the experiment reports."""
         best = self.best(constrained=True)

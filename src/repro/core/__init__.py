@@ -12,14 +12,13 @@
   refit and the selective-transfer split.
 """
 
-from repro.core.neuk_gp import NeukGP, NeukMultiOutputGP, neural_kernel_factory
+from repro.core.neuk_gp import NeukGP, neural_kernel_factory
 from repro.core.kat_gp import KATGP, SourceModel
 from repro.core.selective_transfer import SelectiveTransfer
 from repro.core.kato import KATO
 
 __all__ = [
     "NeukGP",
-    "NeukMultiOutputGP",
     "neural_kernel_factory",
     "KATGP",
     "SourceModel",

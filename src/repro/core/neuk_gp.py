@@ -1,13 +1,15 @@
 """NeukGP: Gaussian processes equipped with the Neural Kernel.
 
-These are thin, named specialisations of :class:`repro.gp.GPRegression` /
-:class:`repro.gp.MultiOutputGP`; the paper refers to the target-only model of
+:class:`NeukGP` is a thin, named specialisation of
+:class:`repro.gp.GPRegression`; the paper refers to the target-only model of
 the selective-transfer scheme as "NeukGP", so the same name is used here.
+:func:`neural_kernel_factory` is the ``dim -> NeuralKernel`` factory that
+KATO fits its objective and constraint surrogates with.
 """
 
 from __future__ import annotations
 
-from repro.gp import GPRegression, MultiOutputGP
+from repro.gp import GPRegression
 from repro.kernels import Kernel, NeuralKernel
 from repro.utils.random import RandomState, as_rng
 
@@ -30,12 +32,3 @@ class NeukGP(GPRegression):
                  **kernel_kwargs):
         kernel = NeuralKernel(int(input_dim), rng=rng, **kernel_kwargs)
         super().__init__(kernel=kernel, noise=noise, normalize_y=normalize_y)
-
-
-class NeukMultiOutputGP(MultiOutputGP):
-    """Independent multi-output GP whose every output uses a Neural Kernel."""
-
-    def __init__(self, noise: float = 1e-2, normalize_y: bool = True,
-                 rng: RandomState = None, **kernel_kwargs):
-        super().__init__(kernel_factory=neural_kernel_factory(rng=rng, **kernel_kwargs),
-                         noise=noise, normalize_y=normalize_y)

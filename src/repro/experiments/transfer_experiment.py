@@ -17,16 +17,6 @@ from __future__ import annotations
 from repro.circuits import FOMProblem, make_problem
 from repro.study import StudySpec, TransferSpec, run_study
 
-#: (source_circuit, source_tech, target_circuit, target_tech) per Fig. 6 panel.
-FIG6_PANELS = {
-    "a": ("two_stage_opamp", "180nm", "two_stage_opamp", "40nm"),
-    "b": ("three_stage_opamp", "180nm", "three_stage_opamp", "40nm"),
-    "c": ("three_stage_opamp", "40nm", "two_stage_opamp", "40nm"),
-    "d": ("two_stage_opamp", "40nm", "three_stage_opamp", "40nm"),
-    "e": ("three_stage_opamp", "180nm", "two_stage_opamp", "40nm"),
-    "f": ("two_stage_opamp", "180nm", "three_stage_opamp", "40nm"),
-}
-
 
 def run_transfer_experiment(source_circuit: str, source_technology: str,
                             target_circuit: str, target_technology: str,

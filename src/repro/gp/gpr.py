@@ -10,10 +10,11 @@ the covariance matrix (Rasmussen & Williams, *GPML* 2006, Eq. 5.9),
 
 How that gradient reaches the kernel parameters depends on the kernel type:
 
-* stationary ARD kernels (RBF, Matern, RQ -- :class:`StationaryKernel`) are
-  differentiated in closed form from their profile ``f(r^2)`` and ``f'(r^2)``,
-  with no autodiff graph and an O(n d)-memory lengthscale gradient;
-* every other kernel (Neuk, Periodic, DKL, composites) builds the covariance
+* stationary ARD kernels (RBF, Matern-5/2, RQ -- :class:`StationaryKernel`)
+  are differentiated in closed form from their profile ``f(r^2)`` and
+  ``f'(r^2)``, with no autodiff graph and an O(n d)-memory lengthscale
+  gradient;
+* every other kernel (Neuk, Periodic, DKL) builds the covariance
   as an autodiff graph and seeds its reverse pass with ``dL/dK``, so
   gradients reach every parameter -- including the weights inside the Neural
   Kernel -- without differentiating through the Cholesky factorisation.

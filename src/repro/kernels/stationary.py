@@ -1,6 +1,6 @@
-"""Classic stationary (and one dot-product) kernels with ARD lengthscales.
+"""Classic stationary kernels with ARD lengthscales.
 
-RBF, Rational Quadratic and the Matern family subclass
+RBF, Rational Quadratic and Matern-5/2 subclass
 :class:`StationaryKernel`: ``k(x, x') = outputscale * f(r^2)`` of the
 lengthscale-scaled squared distance ``r^2``.  Besides the taped ``forward``
 they give ``f`` and its derivative ``f'`` on ``r^2`` as plain numpy, which is
@@ -183,79 +183,26 @@ def _zero_below(t: Tensor, floor: float) -> Tensor:
     return t._make(np.where(keep, t.data, 0.0), (t,), backward)
 
 
-class _MaternKernel(StationaryKernel):
-    """Shared Matern implementation parameterised by ``nu``."""
-
-    nu: float = 1.5
+class Matern52Kernel(StationaryKernel):
+    """Matern kernel with ``nu = 5/2``."""
 
     def profile(self, r2):
         # As in ``forward``, r^2 below 1e-24 is clipped and passes no gradient.
         distance = np.sqrt(np.maximum(r2, 1e-24))
         passes = r2 >= 1e-24
-        if self.nu == 0.5:
-            value = np.exp(-distance)
-            return value, np.where(passes, value * -0.5 / distance, 0.0)
-        if self.nu == 1.5:
-            root3 = np.sqrt(3.0)
-            decay = np.exp(distance * -root3)
-            return (distance * root3 + 1.0) * decay, np.where(passes, decay * -1.5, 0.0)
-        if self.nu == 2.5:
-            root5 = np.sqrt(5.0)
-            decay = np.exp(distance * -root5)
-            value = (distance * root5 + distance * distance * (5.0 / 3.0) + 1.0) * decay
-            slope = (distance * root5 + 1.0) * decay * (-5.0 / 6.0)
-            return value, np.where(passes, slope, 0.0)
-        raise ValueError(f"unsupported Matern nu={self.nu}")
+        root5 = np.sqrt(5.0)
+        decay = np.exp(distance * -root5)
+        value = (distance * root5 + distance * distance * (5.0 / 3.0) + 1.0) * decay
+        slope = (distance * root5 + 1.0) * decay * (-5.0 / 6.0)
+        return value, np.where(passes, slope, 0.0)
 
     def forward(self, x1, x2) -> Tensor:
-        # f'(r^2) grows like 1/r for nu = 1/2, so r^2 that is only rounding
-        # noise (the diagonal, duplicated rows) is zeroed first: left in, its
-        # gradient would be noise amplified by up to 1e8.
+        # r^2 that is only rounding noise (the diagonal, duplicated rows) is
+        # zeroed first, so it passes no gradient through the sqrt.
         a1, a2 = self._scaled(x1), self._scaled(x2)
         sqdist = _zero_below(pairwise_sqdist(a1, a2), _rounding_floor(a1.data, a2.data))
         distance = sqdist.clip_min(1e-24).sqrt()
         scale = self.raw_outputscale.exp()
-        if self.nu == 0.5:
-            return (distance * -1.0).exp() * scale
-        if self.nu == 1.5:
-            root3 = float(np.sqrt(3.0))
-            poly = distance * root3 + 1.0
-            return poly * (distance * -root3).exp() * scale
-        if self.nu == 2.5:
-            root5 = float(np.sqrt(5.0))
-            poly = distance * root5 + (distance * distance) * (5.0 / 3.0) + 1.0
-            return poly * (distance * -root5).exp() * scale
-        raise ValueError(f"unsupported Matern nu={self.nu}")
-
-
-class Matern12Kernel(_MaternKernel):
-    """Matern kernel with ``nu = 1/2`` (exponential kernel)."""
-    nu = 0.5
-
-
-class Matern32Kernel(_MaternKernel):
-    """Matern kernel with ``nu = 3/2``."""
-    nu = 1.5
-
-
-class Matern52Kernel(_MaternKernel):
-    """Matern kernel with ``nu = 5/2``."""
-    nu = 2.5
-
-
-class LinearKernel(Kernel):
-    """Dot-product kernel ``sigma_b^2 + sigma_v^2 x . x'``."""
-
-    def __init__(self, input_dim: int, variance: float = 1.0, bias: float = 1e-2):
-        super().__init__(input_dim)
-        self.raw_variance = Parameter([_log(variance)], name="raw_variance")
-        self.raw_bias = Parameter([_log(bias)], name="raw_bias")
-
-    @property
-    def variance(self) -> float:
-        return float(np.exp(self.raw_variance.data[0]))
-
-    def forward(self, x1, x2) -> Tensor:
-        x1 = as_tensor(x1)
-        x2 = as_tensor(x2)
-        return (x1 @ x2.transpose()) * self.raw_variance.exp() + self.raw_bias.exp()
+        root5 = float(np.sqrt(5.0))
+        poly = distance * root5 + (distance * distance) * (5.0 / 3.0) + 1.0
+        return poly * (distance * -root5).exp() * scale

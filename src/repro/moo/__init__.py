@@ -3,8 +3,6 @@
 from repro.moo.pareto import (
     crowding_distance,
     fast_non_dominated_sort,
-    hypervolume_2d,
-    is_dominated,
     pareto_front_mask,
 )
 from repro.moo.nsga2 import NSGA2, NSGA2Result
@@ -15,6 +13,4 @@ __all__ = [
     "fast_non_dominated_sort",
     "crowding_distance",
     "pareto_front_mask",
-    "is_dominated",
-    "hypervolume_2d",
 ]

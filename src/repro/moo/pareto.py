@@ -7,17 +7,6 @@ import numpy as np
 from repro.utils.validation import check_matrix
 
 
-def is_dominated(a: np.ndarray, b: np.ndarray) -> bool:
-    """Return True when objective vector ``a`` is dominated by ``b``.
-
-    ``b`` dominates ``a`` when it is no worse in every objective and strictly
-    better in at least one (minimisation).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return bool(np.all(b <= a) and np.any(b < a))
-
-
 def _dominance_matrix(objectives: np.ndarray) -> np.ndarray:
     """``(n, n)`` boolean matrix whose entry ``(i, j)`` says row ``i`` dominates row ``j``."""
     n = objectives.shape[0]
@@ -76,22 +65,3 @@ def crowding_distance(objectives) -> np.ndarray:
         gaps = (objectives[order[2:], j] - objectives[order[:-2], j]) / spread
         distance[order[1:-1]] += gaps
     return distance
-
-
-def hypervolume_2d(front, reference) -> float:
-    """Hypervolume of a 2-objective front w.r.t. a reference point (minimisation)."""
-    front = check_matrix(front, "front", n_cols=2)
-    reference = np.asarray(reference, dtype=float)
-    mask = np.all(front <= reference, axis=1)
-    front = front[mask]
-    if front.shape[0] == 0:
-        return 0.0
-    front = front[pareto_front_mask(front)]
-    order = np.argsort(front[:, 0])
-    front = front[order]
-    volume = 0.0
-    previous_y = reference[1]
-    for x, y in front:
-        volume += (reference[0] - x) * (previous_y - y)
-        previous_y = y
-    return float(volume)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.utils.random import RandomState, as_rng
 
@@ -40,6 +39,10 @@ def minimize_lbfgs(func: Callable[[np.ndarray], float],
     -------
     (x_best, f_best)
     """
+    # Imported here: loading scipy.optimize takes about 0.3 s, and only
+    # TLMBO's acquisition search needs it.
+    from scipy.optimize import minimize
+
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim != 2 or bounds.shape[1] != 2:
         raise ValueError(f"bounds must have shape (d, 2), got {bounds.shape}")

@@ -16,7 +16,6 @@ from repro.pdk.variation import (
     MismatchCard,
     VariationSample,
     apply_variation,
-    nominal_sample,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "DeviceVariation",
     "VariationSample",
     "apply_variation",
-    "nominal_sample",
 ]

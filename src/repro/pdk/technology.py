@@ -6,7 +6,7 @@ import hashlib
 from dataclasses import astuple, dataclass, replace
 
 from repro.pdk.variation import MismatchCard, VariationSample
-from repro.spice.devices.mosfet import MosfetModel, NoiseCard
+from repro.spice.devices.mosfet import MosfetModel
 
 #: Conservative generic Pelgrom coefficients used when a card does not set
 #: its own (roughly mature-node textbook numbers: 4 mV*um and 1.5 %*um).
@@ -113,19 +113,6 @@ class Technology:
             return self.nmos_mismatch
         if polarity == "pmos":
             return self.pmos_mismatch
-        raise ValueError(f"polarity must be 'nmos' or 'pmos', got {polarity!r}")
-
-    def noise_card(self, polarity: str) -> NoiseCard:
-        """The thermal/flicker noise card of one polarity.
-
-        The card lives on the nested :class:`MosfetModel`, so derived
-        corner/variation cards -- which ``replace`` the models -- carry it
-        along and :attr:`fingerprint` hashes it with every other parameter.
-        """
-        if polarity == "nmos":
-            return self.nmos.noise
-        if polarity == "pmos":
-            return self.pmos.noise
         raise ValueError(f"polarity must be 'nmos' or 'pmos', got {polarity!r}")
 
     @property

@@ -125,12 +125,6 @@ class VariationSample:
                             for d in self.devices}}
 
 
-def nominal_sample(device_names) -> VariationSample:
-    """The all-zeros sample: every device exactly at its card value."""
-    zeros = [0.0] * len(tuple(device_names))
-    return VariationSample.from_zscores(-1, tuple(device_names), zeros, zeros)
-
-
 def apply_variation(circuit, technology) -> None:
     """Perturb the MOSFETs of a freshly built ``circuit`` in place.
 

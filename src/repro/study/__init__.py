@@ -45,7 +45,6 @@ _LAZY_ATTRS = {
     "CallbackList": "repro.study.callbacks",
     "LoggingCallback": "repro.study.callbacks",
     "EarlyStopping": "repro.study.callbacks",
-    "BenchRecordCallback": "repro.study.callbacks",
     "CheckpointError": "repro.study.checkpoint",
     "read_checkpoint": "repro.study.checkpoint",
     "StudyCheckpoint": "repro.study.checkpoint",

@@ -15,8 +15,6 @@ one place and the callbacks composable.
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 from typing import Sequence
 
@@ -145,26 +143,3 @@ class EarlyStopping(StudyCallback):
             if self.patience is not None and self._stalled >= self.patience:
                 study.request_stop(
                     f"no improvement for {self._stalled} batches")
-
-
-class BenchRecordCallback(StudyCallback):
-    """Emit one machine-readable ``NAME {json}`` BENCH record on finish.
-
-    Mirrors the ``record_bench`` convention of ``benchmarks/conftest.py``:
-    the record prints to stdout (greppable in logs) and is appended as a
-    JSON line to ``path`` or, when unset, to the file named by the
-    ``KATO_BENCH_RECORDS`` environment variable.
-    """
-
-    def __init__(self, name: str = "BENCH_STUDY", path: str | None = None):
-        self.name = name
-        self.path = path
-
-    def on_finish(self, study, result) -> None:
-        record = result.to_record()
-        print(f"{self.name} " + json.dumps(record, sort_keys=True))
-        path = self.path or os.environ.get("KATO_BENCH_RECORDS", "")
-        if path:
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps({"bench_record": self.name, **record},
-                                        sort_keys=True) + "\n")

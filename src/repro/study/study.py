@@ -95,15 +95,12 @@ class Study:
     callbacks:
         :class:`~repro.study.callbacks.StudyCallback` instances, notified in
         order via ``on_init`` / ``on_batch`` / ``on_finish``.
-    checkpoint_path:
-        When set, every evaluation batch is appended to this JSONL file so
-        the run can be resumed with :meth:`Study.resume`.
     checkpoint:
-        Generalisation of ``checkpoint_path``: a path *or* any
+        When set, every evaluation batch is recorded so the run can be
+        resumed with :meth:`Study.resume`: a JSONL file path *or* any
         :class:`~repro.study.checkpoint.StudyCheckpoint` backend (e.g. the
         SQLite results store's
-        :class:`~repro.service.store.StoreCheckpoint`).  At most one of the
-        two may be given.
+        :class:`~repro.service.store.StoreCheckpoint`).
     engine_backend:
         Optional :class:`~repro.engine.backends.ExecutionBackend` instance
         that replaces the spec-resolved backend on the problem's engine --
@@ -117,7 +114,6 @@ class Study:
 
     def __init__(self, spec: StudySpec, seed: int | None = None,
                  callbacks: list[StudyCallback] | tuple = (),
-                 checkpoint_path: str | None = None,
                  checkpoint=None,
                  engine_backend=None,
                  optimizer_factory=None,
@@ -127,14 +123,10 @@ class Study:
             raise OptimizationError(
                 f"Study runs one seed but spec.n_seeds={spec.n_seeds}; use "
                 "run_study() for multi-seed execution (or pass seed=...)")
-        if checkpoint is not None and checkpoint_path is not None:
-            raise OptimizationError(
-                "pass either checkpoint_path or checkpoint, not both")
         self.spec = spec if seed is None else spec.for_seed(seed)
         self.seed = int(self.spec.seed)
         self.callbacks = CallbackList(list(callbacks))
-        self.checkpoint = coerce_checkpoint(
-            checkpoint if checkpoint is not None else checkpoint_path)
+        self.checkpoint = coerce_checkpoint(checkpoint)
         self.engine_backend = engine_backend
         self.optimizer_factory = optimizer_factory
         # Prebuilt transfer source (run_study builds one and shares it
@@ -152,14 +144,6 @@ class Study:
     @property
     def label(self) -> str:
         return f"{self.spec.optimizer}:{self.spec.circuit}:seed{self.seed}"
-
-    @property
-    def checkpoint_path(self) -> str | None:
-        """Path of a JSONL checkpoint backend (``None`` for others)."""
-        from repro.study.checkpoint import JSONLCheckpoint
-        if isinstance(self.checkpoint, JSONLCheckpoint):
-            return self.checkpoint.path
-        return None
 
     @property
     def history(self) -> OptimizationHistory:
@@ -337,7 +321,7 @@ def _run_study_task(task: tuple) -> StudyResult:
     """One seed of a study (top-level, so process backends can pickle it)."""
     spec_dict, seed, checkpoint_path = task
     spec = StudySpec.from_dict(spec_dict)
-    return Study(spec, seed=seed, checkpoint_path=checkpoint_path).run()
+    return Study(spec, seed=seed, checkpoint=checkpoint_path).run()
 
 
 def run_study(spec: StudySpec, callbacks: tuple = (),
@@ -386,7 +370,7 @@ def run_study(spec: StudySpec, callbacks: tuple = (),
         results = []
         for index, seed in enumerate(seeds):
             study = Study(spec, seed=seed, callbacks=callbacks,
-                          checkpoint_path=_seed_checkpoint_path(
+                          checkpoint=_seed_checkpoint_path(
                               checkpoint_path, index, len(seeds)),
                           source=shared_source, source_data=shared_data)
             results.append(study.run())

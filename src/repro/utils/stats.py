@@ -26,26 +26,6 @@ def norm_cdf(z) -> np.ndarray:
         return 0.5 * (1.0 + np.vectorize(math.erf)(z / _SQRT2))
 
 
-def norm_logpdf(x, mean, var) -> np.ndarray:
-    """Log density of ``N(mean, var)`` evaluated at ``x`` (elementwise)."""
-    x = np.asarray(x, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    var = np.maximum(np.asarray(var, dtype=float), 1e-12)
-    return -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var)
-
-
-def running_best(values, minimize: bool = False) -> np.ndarray:
-    """Cumulative best-so-far curve of ``values``.
-
-    This is the standard "performance versus simulation budget" curve used
-    throughout the paper's figures.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return values.copy()
-    return np.minimum.accumulate(values) if minimize else np.maximum.accumulate(values)
-
-
 def summarize_runs(curves) -> dict[str, np.ndarray]:
     """Aggregate repeated-run curves into mean/std/median statistics.
 

@@ -43,16 +43,6 @@ def check_matrix(x, name: str = "x", n_cols: int | None = None) -> np.ndarray:
     return arr
 
 
-def check_same_length(a, b, name_a: str = "a", name_b: str = "b") -> None:
-    """Raise if the leading dimensions of ``a`` and ``b`` differ."""
-    la = np.asarray(a).shape[0]
-    lb = np.asarray(b).shape[0]
-    if la != lb:
-        raise ShapeError(
-            f"{name_a} and {name_b} must have the same length, got {la} and {lb}"
-        )
-
-
 def check_positive(value: float, name: str = "value") -> float:
     """Raise if ``value`` is not strictly positive; return it as float."""
     value = float(value)

@@ -6,31 +6,14 @@ import pytest
 from repro.acquisition import (
     ConstrainedMACEObjectives,
     ExpectedImprovement,
-    LowerConfidenceBound,
     MACEObjectives,
     ModifiedConstrainedMACEObjectives,
-    ProbabilityOfFeasibility,
-    ProbabilityOfImprovement,
-    UpperConfidenceBound,
-    WeightedExpectedImprovement,
     expected_improvement,
     probability_of_improvement,
     upper_confidence_bound,
 )
 from repro.acquisition.functions import probability_of_feasibility
 from repro.gp import GPRegression, MultiOutputGP
-
-
-class _FakeModel:
-    """Deterministic surrogate stub returning preset mean/variance."""
-
-    def __init__(self, mean, variance):
-        self.mean = np.asarray(mean, dtype=float)
-        self.variance = np.asarray(variance, dtype=float)
-
-    def predict(self, x):
-        n = np.atleast_2d(x).shape[0]
-        return (np.resize(self.mean, n), np.resize(self.variance, n))
 
 
 class _CountingModel:
@@ -115,36 +98,6 @@ class TestBoundAcquisitionClasses:
         acquisition = ExpectedImprovement(gp, best=float(y.max()))
         values = acquisition(rng.uniform(size=(10, 2)))
         assert values.shape == (10,)
-        assert np.all(values >= 0)
-
-    def test_pi_and_ucb_classes(self):
-        model = _FakeModel([0.5, 2.0], [0.1, 0.1])
-        pi = ProbabilityOfImprovement(model, best=1.0)(np.zeros((2, 1)))
-        assert pi[1] > pi[0]
-        ucb = UpperConfidenceBound(model, beta=1.0)(np.zeros((2, 1)))
-        assert ucb[1] > ucb[0]
-
-    def test_lcb_alias(self):
-        model = _FakeModel([1.0], [1.0])
-        assert LowerConfidenceBound(model, beta=2.0)(np.zeros((1, 1)))[0] == pytest.approx(
-            -(1.0 - 2.0), abs=1e-9)
-
-    def test_pof_class_validation(self):
-        model = _FakeModel([[1.0]], [[1.0]])
-        with pytest.raises(ValueError):
-            ProbabilityOfFeasibility(model, thresholds=[1.0, 2.0], senses=["ge"])
-
-    def test_weighted_ei(self, rng):
-        x = rng.uniform(size=(15, 2))
-        y = np.sum(x, axis=1)
-        constraints = np.column_stack([x[:, 0] * 2.0])
-        objective_gp = GPRegression().fit(x, y, n_iters=15)
-        constraint_gp = MultiOutputGP().fit(x, constraints, n_iters=15)
-        feasibility = ProbabilityOfFeasibility(constraint_gp, [0.5], ["ge"])
-        weighted = WeightedExpectedImprovement(objective_gp, best=float(y.min()),
-                                               feasibility=feasibility, minimize=True)
-        values = weighted(rng.uniform(size=(8, 2)))
-        assert values.shape == (8,)
         assert np.all(values >= 0)
 
 

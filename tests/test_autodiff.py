@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 from repro.autodiff import Tensor, no_grad
 from repro.autodiff.functional import (
     as_tensor,
-    concatenate,
     pairwise_sqdist,
     stack,
 )
 from repro.gp import GPRegression
-from repro.kernels import RBFKernel, stationary
+from repro.kernels import NeuralKernel, RBFKernel, stationary
 
 
 def numeric_gradient(func, x, eps=1e-6):
@@ -86,9 +85,9 @@ class TestBasicOps:
         check_gradient(lambda t: (t.sigmoid() * 2.0 + t.tanh()).sum(), x)
         check_gradient(lambda t: t.relu().sum(), x + 0.1)
 
-    def test_softplus_abs_grads(self, rng):
+    def test_abs_grad(self, rng):
         x = rng.normal(size=(8,)) + 0.05
-        check_gradient(lambda t: (t.softplus() + t.abs()).sum(), x)
+        check_gradient(lambda t: t.abs().sum(), x)
 
     def test_clip_min_grad_passes_above(self):
         t = Tensor([0.5, 2.0], requires_grad=True)
@@ -170,10 +169,6 @@ class TestGraphMechanics:
             t = Tensor([1.0], requires_grad=True)
             out = t * 2.0
         assert not out.requires_grad
-
-    def test_detach_cuts_graph(self):
-        t = Tensor([1.0], requires_grad=True)
-        assert not t.detach().requires_grad
 
     def test_zero_grad(self):
         t = Tensor([1.0], requires_grad=True)
@@ -260,20 +255,20 @@ class TestFunctional:
             assert np.array_equal(a, b)
 
     @staticmethod
-    def _fitted_rbf_sum_parameters():
-        # A sum kernel has no closed-form gradient, so the fit runs on the
-        # tape and every kernel evaluation goes through pairwise_sqdist.
+    def _fitted_neuk_parameters():
+        # The Neural Kernel has no closed-form gradient, so the fit runs on
+        # the tape and its RBF and RQ primitives go through pairwise_sqdist.
         rng = np.random.default_rng(2024)
         x = rng.uniform(size=(30, 3))
         y = np.sin(3.0 * x[:, 0]) + x[:, 1] * x[:, 2]
-        gp = GPRegression(RBFKernel(3) + RBFKernel(3)).fit(x, y, n_iters=40)
+        gp = GPRegression(NeuralKernel(3, rng=0)).fit(x, y, n_iters=40)
         return [parameter.data.copy() for parameter in gp.parameters()]
 
-    def test_rbf_sum_gp_fit_matches_tape_chain_bitwise(self, monkeypatch):
-        fused = self._fitted_rbf_sum_parameters()
+    def test_neuk_gp_fit_matches_tape_chain_bitwise(self, monkeypatch):
+        fused = self._fitted_neuk_parameters()
         monkeypatch.setattr(stationary, "pairwise_sqdist", _reference_pairwise_sqdist)
-        chained = self._fitted_rbf_sum_parameters()
-        assert len(fused) == len(chained) == 5
+        chained = self._fitted_neuk_parameters()
+        assert len(fused) == len(chained) > 5
         for a, b in zip(fused, chained):
             assert np.array_equal(a, b)
 
@@ -284,14 +279,6 @@ class TestFunctional:
         (out * 2.0).sum().backward()
         for tensor in tensors:
             assert np.allclose(tensor.grad, 2.0)
-
-    def test_concatenate_and_grad(self, rng):
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        out = concatenate([a, b], axis=0)
-        assert out.shape == (6, 3)
-        out.sum().backward()
-        assert np.allclose(a.grad, 1.0) and np.allclose(b.grad, 1.0)
 
     def test_as_tensor_passthrough(self):
         t = Tensor([1.0])

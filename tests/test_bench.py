@@ -446,7 +446,8 @@ class TestCornerSpecs:
 
     def test_standard_corners_nominal_first_unique(self):
         corners = standard_corners()
-        assert corners[0].is_nominal
+        nominal = corners[0]
+        assert (nominal.process, nominal.temperature, nominal.vdd_scale) == ("tt", 27.0, 1.0)
         names = [corner.name for corner in corners]
         assert len(set(names)) == len(names) == 5
 

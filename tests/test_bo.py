@@ -12,7 +12,6 @@ from repro.bo import (
     OptimizationHistory,
     RandomSearch,
     SMACRF,
-    SingleObjectiveBO,
 )
 from repro.errors import DesignSpaceError, OptimizationError
 from repro.study import UnknownOptimizerError, build_optimizer
@@ -92,12 +91,6 @@ class TestDesignSpace:
     def test_from_dict_missing_key(self):
         with pytest.raises(DesignSpaceError):
             self._space().from_dict({"w": 1e-5})
-
-    def test_index_of(self):
-        space = self._space()
-        assert space.index_of("i") == 1
-        with pytest.raises(DesignSpaceError):
-            space.index_of("nope")
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 50))
@@ -183,15 +176,6 @@ class TestHistory:
         assert history.best_curve().size == 0
         assert np.isneginf(history.best_objective(constrained=False))
 
-    def test_simulations_to_reach(self, quadratic_problem, rng):
-        history = OptimizationHistory(quadratic_problem)
-        history.extend(quadratic_problem.evaluate_batch(
-            quadratic_problem.design_space.sample(15, rng=rng)))
-        best = history.best_objective(constrained=False)
-        needed = history.simulations_to_reach(best, constrained=False)
-        assert 1 <= needed <= 15
-        assert history.simulations_to_reach(best + 1.0, constrained=False) is None
-
     def test_summary_keys(self, constrained_problem, rng):
         history = self._filled_history(constrained_problem, rng)
         summary = history.summary()
@@ -204,13 +188,6 @@ class TestOptimizers:
         history = optimizer.optimize(n_simulations=40, n_init=5)
         assert len(history) >= 40
         assert history.best_objective(constrained=False) > -0.5
-
-    def test_single_objective_bo_beats_initial(self, quadratic_problem):
-        optimizer = SingleObjectiveBO(quadratic_problem, rng=0, surrogate_train_iters=15)
-        history = optimizer.optimize(n_simulations=18, n_init=8)
-        curve = history.best_curve(constrained=False)
-        assert curve[-1] >= curve[7]
-        assert curve[-1] > -0.15
 
     def test_smac_rf_runs(self, quadratic_problem):
         optimizer = SMACRF(quadratic_problem, batch_size=2, rng=0, n_candidates=128)

@@ -7,13 +7,13 @@ from repro.core import (
     KATGP,
     KATO,
     NeukGP,
-    NeukMultiOutputGP,
     SelectiveTransfer,
     SourceModel,
     neural_kernel_factory,
 )
 from repro.bo import MACE
 from repro.errors import NotFittedError
+from repro.gp import MultiOutputGP
 from repro.kernels import NeuralKernel
 
 
@@ -44,7 +44,7 @@ class TestNeukGP:
         assert np.all(np.isfinite(mean)) and np.all(var > 0)
 
     def test_neuk_multioutput(self, rng):
-        model = NeukMultiOutputGP(rng=0)
+        model = MultiOutputGP(kernel_factory=neural_kernel_factory(rng=0))
         x = rng.uniform(size=(15, 2))
         model.fit(x, np.column_stack([x[:, 0], x[:, 1] * 2]), n_iters=10)
         assert isinstance(model[0].kernel, NeuralKernel)

@@ -13,7 +13,6 @@ from repro.experiments import (
     speedup_ratio,
 )
 from repro.experiments.fom_experiment import fom_summary
-from repro.experiments.transfer_experiment import FIG6_PANELS
 from repro.study.sources import make_source_model
 
 
@@ -45,21 +44,6 @@ class TestReporting:
         reference = np.array([5.0, 4.0])
         candidate = np.array([10.0, 9.0])
         assert speedup_ratio(candidate, reference, minimize=True) == 0.0
-
-
-class TestFig6Panels:
-    def test_all_six_panels_defined(self):
-        assert set(FIG6_PANELS) == {"a", "b", "c", "d", "e", "f"}
-
-    def test_panel_a_is_node_transfer(self):
-        source_circuit, source_tech, target_circuit, target_tech = FIG6_PANELS["a"]
-        assert source_circuit == target_circuit
-        assert source_tech != target_tech
-
-    def test_panel_c_is_design_transfer(self):
-        source_circuit, source_tech, target_circuit, target_tech = FIG6_PANELS["c"]
-        assert source_circuit != target_circuit
-        assert source_tech == target_tech
 
 
 @pytest.mark.slow

@@ -8,8 +8,6 @@ from repro.autodiff import Tensor
 from repro.errors import NotFittedError
 from repro.gp import GPRegression, MultiOutputGP
 from repro.kernels import (
-    Matern12Kernel,
-    Matern32Kernel,
     Matern52Kernel,
     NeuralKernel,
     PeriodicKernel,
@@ -17,8 +15,7 @@ from repro.kernels import (
     RBFKernel,
 )
 
-STATIONARY_KERNELS = (RBFKernel, Matern12Kernel, Matern32Kernel, Matern52Kernel,
-                      RationalQuadraticKernel)
+STATIONARY_KERNELS = (RBFKernel, Matern52Kernel, RationalQuadraticKernel)
 
 
 def _toy_data(rng, n=30, d=2):
@@ -262,15 +259,14 @@ class TestClosedFormGradient:
         GPRegression(kernel=kernel_cls(3)).fit(x, y, n_iters=10)
         assert calls == {"_tape_nlml": 0, "_stationary_nlml": 11}
 
-    @pytest.mark.parametrize("make_kernel", [
+    @pytest.mark.parametrize("kernel_factory", [
         lambda d: NeuralKernel(d, rng=0),
         PeriodicKernel,
-        lambda d: RBFKernel(d) + PeriodicKernel(d),
-    ], ids=["neuk", "periodic", "sum"])
-    def test_other_kernels_take_tape_route(self, make_kernel, monkeypatch):
+    ], ids=["neuk", "periodic"])
+    def test_other_kernels_take_tape_route(self, kernel_factory, monkeypatch):
         calls = _route_calls(monkeypatch)
         x, y = _regression_data(15, 3)
-        GPRegression(kernel=make_kernel(3)).fit(x, y, n_iters=10)
+        GPRegression(kernel=kernel_factory(3)).fit(x, y, n_iters=10)
         assert calls["_stationary_nlml"] == 0
         assert calls["_tape_nlml"] > 0
 

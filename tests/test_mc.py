@@ -34,7 +34,6 @@ from repro.pdk import (
     VariationSample,
     apply_variation,
     get_technology,
-    nominal_sample,
 )
 
 GOOD_TWO_STAGE = dict(w_diff=20e-6, l_diff=0.5e-6, w_load=10e-6, l_load=0.5e-6,
@@ -96,9 +95,10 @@ class TestVariation:
     def test_nominal_sample_is_identity(self):
         problem = make_problem("two_stage_opamp")
         circuit = problem.build_circuit(GOOD_TWO_STAGE)
-        names = problem.mismatch_device_names()
+        names = tuple(problem.mismatch_device_names())
+        zeros = [0.0] * len(names)
         apply_variation(circuit, problem.technology.with_variation(
-            nominal_sample(names)))
+            VariationSample.from_zscores(-1, names, zeros, zeros)))
         assert circuit.device("MN1").model == problem.technology.nmos
 
     def test_mismatch_device_names_all_mosfets(self):

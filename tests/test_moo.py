@@ -8,23 +8,11 @@ from repro.moo import (
     NSGA2,
     crowding_distance,
     fast_non_dominated_sort,
-    hypervolume_2d,
-    is_dominated,
     pareto_front_mask,
 )
 
 
 class TestDominance:
-    def test_is_dominated_basic(self):
-        assert is_dominated([2.0, 2.0], [1.0, 1.0])
-        assert not is_dominated([1.0, 1.0], [2.0, 2.0])
-
-    def test_equal_points_do_not_dominate(self):
-        assert not is_dominated([1.0, 1.0], [1.0, 1.0])
-
-    def test_partial_tradeoff(self):
-        assert not is_dominated([1.0, 3.0], [2.0, 1.0])
-
     def test_pareto_front_mask_simple(self):
         objectives = np.array([[1.0, 4.0], [2.0, 2.0], [4.0, 1.0], [3.0, 3.0]])
         mask = pareto_front_mask(objectives)
@@ -68,23 +56,6 @@ class TestCrowding:
         assert not np.any(np.isnan(distance))
 
 
-class TestHypervolume:
-    def test_single_point(self):
-        assert hypervolume_2d([[0.0, 0.0]], [1.0, 1.0]) == pytest.approx(1.0)
-
-    def test_two_points(self):
-        volume = hypervolume_2d([[0.0, 0.5], [0.5, 0.0]], [1.0, 1.0])
-        assert volume == pytest.approx(0.75)
-
-    def test_points_outside_reference_ignored(self):
-        assert hypervolume_2d([[2.0, 2.0]], [1.0, 1.0]) == 0.0
-
-    def test_dominated_points_do_not_add(self):
-        base = hypervolume_2d([[0.0, 0.0]], [1.0, 1.0])
-        extra = hypervolume_2d([[0.0, 0.0], [0.5, 0.5]], [1.0, 1.0])
-        assert extra == pytest.approx(base)
-
-
 def _zdt1_like(x):
     """A simple bi-objective test problem on [0, 1]^d."""
     x = np.atleast_2d(x)
@@ -110,13 +81,13 @@ class TestNSGA2:
         assert np.all(result.x >= 0.2 - 1e-12) and np.all(result.x <= 0.4 + 1e-12)
 
     def test_improves_over_random(self, rng):
+        # The Pareto set of _zdt1_like has x[1:] = 0 (g = 1); NSGA-II's front
+        # must sit much closer to it than uniform random designs do.
         bounds = np.array([[0.0, 1.0]] * 5)
         nsga = NSGA2(pop_size=30, n_generations=25, rng=rng)
         result = nsga.minimize(_zdt1_like, bounds)
-        hv_nsga = hypervolume_2d(result.pareto_objectives, [1.1, 10.0])
-        random_points = _zdt1_like(rng.uniform(size=(30, 5)))
-        hv_random = hypervolume_2d(random_points, [1.1, 10.0])
-        assert hv_nsga > hv_random
+        random_x = rng.uniform(size=(30, 5))
+        assert result.pareto_x[:, 1:].mean() < 0.5 * random_x[:, 1:].mean()
 
     def test_single_objective_degenerates_to_minimum(self, rng):
         def single(x):
@@ -170,7 +141,9 @@ class TestParetoProperties:
         for i in range(front.shape[0]):
             for j in range(front.shape[0]):
                 if i != j:
-                    assert not is_dominated(front[i], front[j])
+                    dominates = (np.all(front[j] <= front[i])
+                                 and np.any(front[j] < front[i]))
+                    assert not dominates
 
 
 def _reference_pareto_front_mask(objectives):

@@ -126,12 +126,8 @@ class TestNoiseCard:
         with pytest.raises(ValueError):
             NoiseCard(kf=-1e-30)
 
-    def test_technology_accessor_and_fingerprint(self):
+    def test_technology_fingerprint_covers_noise_card(self):
         tech = get_technology("180nm")
-        assert tech.noise_card("nmos") is tech.nmos.noise
-        assert tech.noise_card("pmos") is tech.pmos.noise
-        with pytest.raises(ValueError):
-            tech.noise_card("njfet")
         # Noise parameters are part of the device card, hence of the
         # technology fingerprint: different KF must never share caches.
         from dataclasses import replace

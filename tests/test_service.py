@@ -92,7 +92,7 @@ class TestResultsStore:
                                                     reference_result):
         spec = _spec()
         jsonl = tmp_path / "ref.jsonl"
-        jsonl_result = Study(spec, checkpoint_path=str(jsonl)).run()
+        jsonl_result = Study(spec, checkpoint=str(jsonl)).run()
         _assert_history_identical(jsonl_result, reference_result)
         store_result = Study(spec,
                              checkpoint=StoreCheckpoint(store, "st")).run()
@@ -195,7 +195,7 @@ class TestStoreCheckpointResume:
         jsonl = tmp_path / "partial.jsonl"
         with pytest.raises(KeyboardInterrupt):
             Study(_spec(), callbacks=(_KillAfter(2),),
-                  checkpoint_path=str(jsonl)).run()
+                  checkpoint=str(jsonl)).run()
         study_id = store.import_jsonl(jsonl)
         assert study_id == derive_study_id(_spec().to_dict(), 5)
         assert (store.read_checkpoint_data(study_id).raw_records
@@ -563,8 +563,8 @@ class TestCliService:
         assert "unknown optimizer" in capsys.readouterr().err
         assert cli_main(["list-problems", "definitely-not-real"]) == 3
         assert "unknown problem" in capsys.readouterr().err
-        assert cli_main(["list-optimizers", "bo"]) == 0  # aliases resolve
-        assert "gp_ei" in capsys.readouterr().out
+        assert cli_main(["list-optimizers", "rs"]) == 0  # aliases resolve
+        assert "random_search" in capsys.readouterr().out
 
     def test_run_with_db_and_spawned_workers(self, tmp_path, capsys,
                                              reference_result):
@@ -587,7 +587,7 @@ class TestCliService:
 
     def test_db_import_and_ingest_bench(self, tmp_path, capsys):
         jsonl = tmp_path / "study.jsonl"
-        Study(_spec(n_simulations=8), checkpoint_path=str(jsonl)).run()
+        Study(_spec(n_simulations=8), checkpoint=str(jsonl)).run()
         db = tmp_path / "tools.db"
         assert cli_main(["db", "import", str(jsonl), "--db", str(db),
                          "--study-id", "imported"]) == 0

@@ -91,7 +91,7 @@ class TestRegistry:
     def test_all_paper_optimizers_registered(self):
         names = available_optimizers()
         for expected in ("random_search", "smac_rf", "mace", "mace_modified",
-                         "mesmoc", "usemoc", "tlmbo", "kato", "kato_tl", "gp_ei"):
+                         "mesmoc", "usemoc", "tlmbo", "kato", "kato_tl"):
             assert expected in names
 
     def test_aliases_resolve_from_one_table(self):
@@ -381,7 +381,7 @@ class TestCheckpointResume:
         checkpoint = tmp_path / "study.ckpt.jsonl"
         with pytest.raises(KeyboardInterrupt):
             Study(spec, callbacks=(_KillAfter(2),),
-                  checkpoint_path=str(checkpoint)).run()
+                  checkpoint=str(checkpoint)).run()
         data = read_checkpoint(checkpoint)
         assert not data.finished
         assert 0 < len(data.evaluations) < spec.n_simulations
@@ -408,7 +408,7 @@ class TestCheckpointResume:
         checkpoint = tmp_path / "study.ckpt.jsonl"
         with pytest.raises(KeyboardInterrupt):
             Study(spec, callbacks=(_KillAfter(2),),
-                  checkpoint_path=str(checkpoint)).run()
+                  checkpoint=str(checkpoint)).run()
         replayed = read_checkpoint(checkpoint).evaluations
         resumed = Study.resume(str(checkpoint)).run()
         # The replayed prefix is free (served from the primed cache): at most
@@ -422,7 +422,7 @@ class TestCheckpointResume:
     def test_resume_tolerates_truncated_final_line(self, tmp_path):
         spec = _mace_spec("serial")
         checkpoint = tmp_path / "study.ckpt.jsonl"
-        reference = Study(spec, checkpoint_path=str(checkpoint)).run()
+        reference = Study(spec, checkpoint=str(checkpoint)).run()
         lines = checkpoint.read_text().splitlines()
         # Keep header + init + one step, then a torn half-written record.
         checkpoint.write_text("\n".join(lines[:3]) + "\n" + lines[3][:40])
@@ -432,7 +432,7 @@ class TestCheckpointResume:
     def test_checkpoint_of_completed_run_resumes_to_same_result(self, tmp_path):
         spec = _mace_spec("serial")
         checkpoint = tmp_path / "study.ckpt.jsonl"
-        reference = Study(spec, checkpoint_path=str(checkpoint)).run()
+        reference = Study(spec, checkpoint=str(checkpoint)).run()
         data = read_checkpoint(checkpoint)
         assert data.finished
         resumed = Study.resume(str(checkpoint)).run()
@@ -462,7 +462,7 @@ class TestCheckpointResume:
         checkpoint = tmp_path / "study.ckpt.jsonl"
         with pytest.raises(KeyboardInterrupt):
             Study(spec, callbacks=(_KillAfter(3),),
-                  checkpoint_path=str(checkpoint)).run()
+                  checkpoint=str(checkpoint)).run()
         before = read_checkpoint(checkpoint)
         # Kill the *resume* during its replay (callbacks fire for replayed
         # batches too): the checkpoint must still hold everything it had.
@@ -478,7 +478,7 @@ class TestCheckpointResume:
     def test_resume_of_cache_disabled_spec_is_rejected(self, tmp_path):
         spec = _mace_spec("serial")
         checkpoint = tmp_path / "study.ckpt.jsonl"
-        Study(spec, checkpoint_path=str(checkpoint)).run()
+        Study(spec, checkpoint=str(checkpoint)).run()
         # Forge the recorded spec to cache=False, as a stochastic-simulator
         # study would have written it.
         lines = checkpoint.read_text().splitlines()

@@ -1,4 +1,4 @@
-"""Tests for repro.utils: validation, scaling, statistics and RNG handling."""
+"""Tests for repro.utils: validation, statistics and RNG handling."""
 
 import warnings
 
@@ -6,19 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import NotFittedError, ShapeError
+from repro.errors import ShapeError
 from repro.utils import (
-    MinMaxScaler,
-    StandardScaler,
     as_rng,
     check_matrix,
     check_positive,
-    check_same_length,
     check_vector,
     norm_cdf,
-    norm_logpdf,
     norm_pdf,
-    running_best,
     summarize_runs,
 )
 from repro.utils.random import spawn_seed_ints
@@ -76,66 +71,12 @@ class TestValidation:
         with pytest.raises(ShapeError):
             check_matrix(np.ones((2, 2, 2)))
 
-    def test_check_same_length(self):
-        check_same_length([1, 2], [3, 4])
-        with pytest.raises(ShapeError):
-            check_same_length([1, 2], [3])
-
     def test_check_positive(self):
         assert check_positive(2.5) == 2.5
         with pytest.raises(ValueError):
             check_positive(0.0)
         with pytest.raises(ValueError):
             check_positive(-1.0)
-
-
-class TestStandardScaler:
-    def test_roundtrip(self, rng):
-        x = rng.normal(5.0, 3.0, size=(50, 4))
-        scaler = StandardScaler().fit(x)
-        assert np.allclose(scaler.inverse_transform(scaler.transform(x)), x)
-
-    def test_transform_statistics(self, rng):
-        x = rng.normal(2.0, 4.0, size=(200, 2))
-        z = StandardScaler().fit_transform(x)
-        assert np.allclose(z.mean(axis=0), 0.0, atol=1e-10)
-        assert np.allclose(z.std(axis=0), 1.0, atol=1e-10)
-
-    def test_constant_column_is_safe(self):
-        x = np.column_stack([np.ones(10), np.arange(10.0)])
-        z = StandardScaler().fit_transform(x)
-        assert np.all(np.isfinite(z))
-
-    def test_unfitted_raises(self):
-        with pytest.raises(NotFittedError):
-            StandardScaler().transform(np.ones((2, 2)))
-
-    def test_variance_inverse_transform(self, rng):
-        x = rng.normal(0.0, 5.0, size=(40, 2))
-        scaler = StandardScaler().fit(x)
-        var = np.ones((3, 2))
-        restored = scaler.inverse_transform_variance(var)
-        assert np.allclose(restored, scaler.scale_**2)
-
-
-class TestMinMaxScaler:
-    def test_roundtrip(self, rng):
-        x = rng.uniform(-3, 7, size=(30, 3))
-        scaler = MinMaxScaler().fit(x)
-        assert np.allclose(scaler.inverse_transform(scaler.transform(x)), x)
-
-    def test_range_is_unit(self, rng):
-        x = rng.uniform(-3, 7, size=(30, 3))
-        z = MinMaxScaler().fit_transform(x)
-        assert z.min() >= 0.0 and z.max() <= 1.0
-
-    def test_explicit_bounds(self):
-        scaler = MinMaxScaler(lower=[0.0], upper=[10.0])
-        assert np.allclose(scaler.transform([[5.0]]), [[0.5]])
-
-    def test_unfitted_raises(self):
-        with pytest.raises(NotFittedError):
-            MinMaxScaler().transform([[1.0]])
 
 
 class TestStats:
@@ -150,21 +91,6 @@ class TestStats:
         from scipy.stats import norm
         z = np.linspace(-4, 4, 17)
         assert np.allclose(norm_cdf(z), norm.cdf(z), atol=1e-12)
-
-    def test_norm_logpdf_matches_scipy(self):
-        from scipy.stats import norm
-        values = norm_logpdf([1.0, 2.0], mean=0.5, var=2.0)
-        expected = norm.logpdf([1.0, 2.0], loc=0.5, scale=np.sqrt(2.0))
-        assert np.allclose(values, expected)
-
-    def test_running_best_maximize(self):
-        assert np.allclose(running_best([1, 3, 2, 5, 4]), [1, 3, 3, 5, 5])
-
-    def test_running_best_minimize(self):
-        assert np.allclose(running_best([3, 1, 2, 0], minimize=True), [3, 1, 1, 0])
-
-    def test_running_best_empty(self):
-        assert running_best([]).size == 0
 
     def test_summarize_runs(self):
         stats = summarize_runs([[1.0, 2.0], [3.0, 4.0]])
@@ -184,11 +110,6 @@ class TestStats:
         with pytest.raises(ValueError):
             summarize_runs([np.ones(3)])  # 1 run is fine shape-wise
             summarize_runs([[1.0], [1.0, 2.0]])
-
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30))
-    def test_running_best_is_monotone(self, values):
-        curve = running_best(values)
-        assert np.all(np.diff(curve) >= 0)
 
     @given(st.floats(-6, 6))
     def test_norm_cdf_in_unit_interval(self, z):
