@@ -15,8 +15,8 @@ The package is organised bottom-up:
 * :mod:`repro.spice` / :mod:`repro.pdk` / :mod:`repro.circuits` -- an
   MNA-based analog circuit simulator, synthetic 180 nm / 40 nm technology
   cards and the three sizing problems used in the paper's evaluation.
-* :mod:`repro.core` -- the KATO contribution: KAT-GP, NeukGP and Selective
-  Transfer Learning (Algorithm 1).
+* :mod:`repro.core` -- the KATO contribution: KAT-GP, Neural-Kernel GP
+  surrogates and Selective Transfer Learning (Algorithm 1).
 * :mod:`repro.baselines` -- MESMOC, USeMOC, TLMBO and human-expert designs.
 * :mod:`repro.engine` -- the batched evaluation engine: pluggable
   serial/batched/process execution backends, a content-hash design cache and

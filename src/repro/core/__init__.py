@@ -1,6 +1,7 @@
 """KATO: the paper's contribution.
 
-* :class:`NeukGP` -- GP surrogates equipped with the Neural Kernel (section 3.1).
+* :func:`neural_kernel_factory` -- the Neural Kernel of KATO's GP surrogates
+  (section 3.1).
 * :class:`KATGP` -- Knowledge Alignment and Transfer GP: an encoder/decoder
   wrapped around a frozen source GP, trained on target data and predicted
   through the Delta method (section 3.2, Eq. 11-12).
@@ -12,13 +13,12 @@
   refit and the selective-transfer split.
 """
 
-from repro.core.neuk_gp import NeukGP, neural_kernel_factory
+from repro.core.neuk_gp import neural_kernel_factory
 from repro.core.kat_gp import KATGP, SourceModel
 from repro.core.selective_transfer import SelectiveTransfer
 from repro.core.kato import KATO
 
 __all__ = [
-    "NeukGP",
     "neural_kernel_factory",
     "KATGP",
     "SourceModel",

@@ -1,15 +1,13 @@
 """NeukGP: Gaussian processes equipped with the Neural Kernel.
 
-:class:`NeukGP` is a thin, named specialisation of
-:class:`repro.gp.GPRegression`; the paper refers to the target-only model of
-the selective-transfer scheme as "NeukGP", so the same name is used here.
+The paper calls the target-only model of the selective-transfer scheme
+"NeukGP": a :class:`repro.gp.GPRegression` over a Neural Kernel.
 :func:`neural_kernel_factory` is the ``dim -> NeuralKernel`` factory that
 KATO fits its objective and constraint surrogates with.
 """
 
 from __future__ import annotations
 
-from repro.gp import GPRegression
 from repro.kernels import Kernel, NeuralKernel
 from repro.utils.random import RandomState, as_rng
 
@@ -23,12 +21,3 @@ def neural_kernel_factory(rng: RandomState = None, **kwargs):
 
     return factory
 
-
-class NeukGP(GPRegression):
-    """Single-output GP regression with a Neural Kernel."""
-
-    def __init__(self, input_dim: int, noise: float = 1e-2,
-                 normalize_y: bool = True, rng: RandomState = None,
-                 **kernel_kwargs):
-        kernel = NeuralKernel(int(input_dim), rng=rng, **kernel_kwargs)
-        super().__init__(kernel=kernel, noise=noise, normalize_y=normalize_y)

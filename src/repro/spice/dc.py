@@ -29,6 +29,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import ConvergenceError, NetlistError
+from repro.spice.devices.mosfet import Mosfet, batch_layout, large_signal_batch
 from repro.spice.mna import BatchStamper
 from repro.spice.netlist import Circuit
 from repro.telemetry import SolveStats
@@ -181,8 +182,8 @@ def _check_batch_topology(circuits: list[Circuit]) -> None:
 
     Batched assembly stacks per-design values on shared (row, col) slots, so
     the circuits must agree on node/branch layout and on the device sequence
-    (classes, names and resolved indices); only parameter *values* may
-    differ.
+    (classes, names, resolved indices and MOSFET polarities); only parameter
+    *values* may differ.
     """
     first = circuits[0]
     first.ensure_indices()
@@ -199,7 +200,9 @@ def _check_batch_topology(circuits: list[Circuit]) -> None:
             if (type(device) is not type(reference)
                     or device.name != reference.name
                     or device.node_indices != reference.node_indices
-                    or device.branch_indices != reference.branch_indices):
+                    or device.branch_indices != reference.branch_indices
+                    or (isinstance(device, Mosfet)
+                        and device.model.polarity != reference.model.polarity)):
                 raise NetlistError(
                     f"batched DC analysis needs topology-identical circuits: "
                     f"device {device.name!r} of {circuit.title!r} does not "
@@ -220,10 +223,19 @@ def _batch_temperatures(temperature, batch_size: int) -> np.ndarray:
 class _ColumnAssembler:
     """What the vectorised DC and transient assemblers share.
 
-    The batch is transposed into per-device sibling columns, the occupancy
-    counters track active rows per assembled iteration over the full batch,
-    and one :class:`BatchStamper` is reused until the active batch size
-    changes.
+    The batch is transposed into per-device sibling columns whose
+    :meth:`~repro.spice.devices.base.Device.batch_context` is computed once
+    over the *full* batch; arbitrary active sub-batches stamp by slicing
+    those contexts row-wise, so convergence masking never re-derives model
+    constants.  The occupancy counters track active rows per assembled
+    iteration over the full batch, and one :class:`BatchStamper` is reused
+    until the active batch size changes.
+
+    Every MOSFET of the netlist is evaluated in one
+    :func:`~repro.spice.devices.mosfet.large_signal_batch` call per
+    assembly (:meth:`_evaluate_mosfets`); the stamp loop then runs device by
+    device in netlist order, so per-cell accumulation order -- and every
+    bit -- matches the serial device loop.
     """
 
     def __init__(self, circuits: list[Circuit], temperatures: np.ndarray):
@@ -237,7 +249,19 @@ class _ColumnAssembler:
         self.active_rows = 0
         self.columns = [tuple(circuit.devices[position] for circuit in circuits)
                         for position in range(len(first.devices))]
-        self.contexts: list = []
+        self.contexts = [column[0].batch_context(list(column), temperatures)
+                         for column in self.columns]
+        self.mosfet_positions = [position for position, column
+                                 in enumerate(self.columns)
+                                 if isinstance(column[0], Mosfet)]
+        if self.mosfet_positions:
+            self.mosfet_layout = batch_layout(
+                [self.columns[position][0]
+                 for position in self.mosfet_positions])
+            self.mosfet_params = {
+                key: np.stack([self.contexts[position][key]
+                               for position in self.mosfet_positions])
+                for key in ("vth", "beta", "lam")}
         self._gather_cache: dict[bytes, tuple] = {}
         self._stamper: BatchStamper | None = None
 
@@ -254,10 +278,11 @@ class _ColumnAssembler:
     _GATHER_CACHE_MAX = 128
 
     def _gather(self, indices: np.ndarray) -> tuple:
-        """Sibling devices, sliced contexts and temperatures of ``indices``.
+        """Siblings, sliced contexts and temperatures of ``indices``.
 
-        The fourth entry is whatever :meth:`_gather_extra` slices for the
-        subclass.
+        The fourth entry is the MOSFET parameter stack sliced to
+        ``indices`` and the fifth whatever :meth:`_gather_extra` slices for
+        the subclass.
         """
         key = indices.tobytes()
         cached = self._gather_cache.get(key)
@@ -267,14 +292,31 @@ class _ColumnAssembler:
             index_list = indices.tolist()
             siblings = [[column[i] for i in index_list]
                         for column in self.columns]
-            contexts = [None if context is None
-                        else {name: values[indices]
-                              for name, values in context.items()}
+            contexts = [{name: values[indices]
+                         for name, values in context.items()}
                         for context in self.contexts]
+            mosfet_params = None
+            if self.mosfet_positions:
+                mosfet_params = {name: values[:, indices]
+                                 for name, values in self.mosfet_params.items()}
             cached = (siblings, contexts, self.temperatures[indices],
-                      self._gather_extra(indices, index_list))
+                      mosfet_params, self._gather_extra(index_list))
             self._gather_cache[key] = cached
         return cached
+
+    def _gather_extra(self, index_list: list):
+        return None
+
+    def _evaluate_mosfets(self, contexts: list, mosfet_params,
+                          voltages: np.ndarray) -> None:
+        """One kernel call for every MOSFET; each context gets its row."""
+        if not self.mosfet_positions:
+            return
+        d_vd, d_vg, d_vs, equivalent = large_signal_batch(
+            self.mosfet_layout, mosfet_params, voltages)
+        for row, position in enumerate(self.mosfet_positions):
+            contexts[position]["large_signal"] = (
+                d_vd[row], d_vg[row], d_vs[row], equivalent[row])
 
     def _reset_stamper(self, batch_size: int) -> BatchStamper:
         """A zeroed stamper for ``batch_size`` active rows, counted."""
@@ -290,76 +332,22 @@ class _ColumnAssembler:
 
 
 class _BatchAssembler(_ColumnAssembler):
-    """Assembles the batched DC system for any active subset of designs.
-
-    Built once per batched solve: precomputes each device's vectorized
-    context over the *full* batch, and then stamps arbitrary active
-    sub-batches by slicing those contexts row-wise -- convergence masking
-    never re-derives model constants.
-    """
-
-    def __init__(self, circuits: list[Circuit], temperatures: np.ndarray):
-        super().__init__(circuits, temperatures)
-        self.contexts = [column[0].dc_batch_context(list(column), temperatures)
-                         for column in self.columns]
-        # Fusion plan: maximal runs of >=2 consecutive same-class fusable
-        # columns stamp through one fused kernel (one model evaluation over
-        # all rows), everything else stamps per column.  Only *consecutive*
-        # columns fuse, and the fused kernel stamps rows in original order,
-        # so per-cell accumulation order -- and therefore bitwise results --
-        # match the serial device loop exactly.
-        self.plan: list[tuple[str, int]] = []
-        self.fused: list[tuple[type, list, dict, dict]] = []
-        run: list[int] = []
-
-        def flush() -> None:
-            if len(run) >= 2:
-                devices = [self.columns[position][0] for position in run]
-                cls = type(devices[0])
-                params = {key: np.stack([self.contexts[position][key]
-                                         for position in run])
-                          for key in self.contexts[run[0]]}
-                self.plan.append(("fused", len(self.fused)))
-                self.fused.append((cls, devices,
-                                   cls.dc_batch_fused_layout(devices), params))
-            else:
-                self.plan.extend(("column", position) for position in run)
-            run.clear()
-
-        for position, (column, context) in enumerate(zip(self.columns,
-                                                         self.contexts)):
-            fusable = (context is not None
-                       and getattr(column[0], "dc_batch_fusable", False))
-            if not fusable:
-                flush()
-                self.plan.append(("column", position))
-                continue
-            if run and type(self.columns[run[-1]][0]) is not type(column[0]):
-                flush()
-            run.append(position)
-        flush()
-
-    def _gather_extra(self, indices: np.ndarray, index_list: list) -> list:
-        return [{name: values[:, indices] for name, values in params.items()}
-                for _, _, _, params in self.fused]
+    """Assembles the batched DC system for any active subset of designs."""
 
     def assemble(self, indices: np.ndarray, voltages: np.ndarray, gmin: float):
         """Stamp the active sub-batch ``indices`` at trial ``voltages``."""
         stamper = self._reset_stamper(len(indices))
-        siblings, contexts, temperatures, fused_params = self._gather(indices)
+        siblings, contexts, temperatures, mosfet_params, _ = self._gather(
+            indices)
         # One errstate frame for the whole stamp loop: device models produce
         # benign overflows/invalids on NaN trial voltages, and entering a
         # context manager per device per iteration is measurable overhead.
         with np.errstate(over="ignore", invalid="ignore"):
-            for kind, ref in self.plan:
-                if kind == "column":
-                    self.columns[ref][0].stamp_dc_batch(
-                        stamper, siblings[ref], voltages, temperatures,
-                        contexts[ref])
-                else:
-                    cls, devices, layout, _ = self.fused[ref]
-                    cls.stamp_dc_batch_fused(stamper, devices, layout,
-                                             fused_params[ref], voltages)
+            self._evaluate_mosfets(contexts, mosfet_params, voltages)
+            for position, column in enumerate(self.columns):
+                column[0].stamp_dc_batch(stamper, siblings[position],
+                                         voltages, temperatures,
+                                         contexts[position])
         if gmin > 0.0:
             stamper.add_gmin(gmin)
         return stamper
@@ -617,12 +605,12 @@ def dc_operating_point_batch(circuits, temperature=27.0,
     """DC operating points of ``B`` topology-identical circuits at once.
 
     The whole batch walks the gmin ladder together: each Newton iteration
-    assembles one ``(B, size, size)`` tensor (devices with a vectorized
-    ``stamp_dc_batch`` fill all designs per stamp; the rest fall back to
-    per-design stamping into batch slices) and one stacked solve advances
-    every still-active design.  Converged designs freeze while stragglers
-    iterate, and the rescue ladder runs only on the failed sub-batch, so the
-    work tracks the hardest design rather than the batch size.  A batch of
+    assembles one ``(B, size, size)`` tensor (every device's
+    ``stamp_dc_batch`` fills all designs per stamp) and one stacked solve
+    advances every still-active design.  Converged designs freeze while
+    stragglers iterate, and the rescue ladder runs only on the failed
+    sub-batch, so the work tracks the hardest design rather than the batch
+    size.  A batch of
     one stamps through the scalar device contract instead.
 
     ``temperature`` may be a scalar or a length-``B`` array (per-design

@@ -48,18 +48,29 @@ The solver drives three hooks:
    Rejected steps (local truncation error too large, Newton failure) never
    commit, so a device must keep all history in ``state`` -- not on ``self``.
 
-Batched transient analysis
-(:func:`repro.spice.transient.transient_analysis_batch`) adds the
-companion-model analogue of the batched DC contract:
-:meth:`Device.transient_batch_context` precomputes per-design ``(B,)``
-constants (or returns ``None`` to opt out) and
-:meth:`Device.stamp_transient_batch` stamps all sibling devices of a
-topology-identical batch at once -- each design carrying its *own* time,
-timestep and integration method, since the adaptive controllers run
-independently per design.  The default implementation falls back to
-per-design :meth:`stamp_transient` calls, so the contract is opt-in per
-device class; overrides must keep the accumulation order bit-identical to
-the serial stamp, exactly like ``stamp_dc_batch``.
+Batched contract
+----------------
+The batched DC and transient solvers
+(:func:`repro.spice.dc.dc_operating_point_batch`,
+:func:`repro.spice.transient.transient_analysis_batch`) stamp all sibling
+devices of a topology-identical batch at once through three hooks:
+
+1. :meth:`Device.batch_context` precomputes per-design ``(B,)`` constants
+   once per batch and returns them as a dict (the base returns ``{}``).
+   The assemblers slice it row-wise as designs converge and always pass it
+   to the stamp calls.
+2. :meth:`Device.stamp_dc_batch` is the vectorized :meth:`stamp_dc`.
+3. :meth:`Device.stamp_transient_batch` is the vectorized
+   :meth:`stamp_transient`, with each design carrying its *own* time,
+   timestep and integration method, since the adaptive controllers run
+   independently per design.  The default is quasi-static: it delegates to
+   :meth:`stamp_dc_batch`, just as :meth:`stamp_transient` delegates to
+   :meth:`stamp_dc`.
+
+Every device class implements :meth:`stamp_dc_batch`; there is no
+per-design fallback.  A stamp must accumulate exactly the same additions in
+the same order as the serial stamp does per design, so batched and serial
+iterates stay bit-identical.
 """
 
 from __future__ import annotations
@@ -205,53 +216,39 @@ class Device:
         """Stamp DC (large-signal, linearised) contributions."""
         raise NotImplementedError
 
-    # -- batched DC ----------------------------------------------------- #
-    def dc_batch_context(self, siblings, temperatures: np.ndarray):
-        """Precompute per-design constants for :meth:`stamp_dc_batch`.
+    # -- batched --------------------------------------------------------- #
+    def batch_context(self, siblings, temperatures: np.ndarray) -> dict:
+        """Precompute per-design constants for the batched stamps.
 
         ``siblings[b]`` is this device's counterpart in design ``b`` of a
         topology-identical batch (``siblings[0] is self``) and
         ``temperatures`` is the matching ``(B,)`` array of simulation
-        temperatures.  The returned value must be either ``None`` (no
-        vectorized stamp; the driver falls back to per-design
-        :meth:`stamp_dc`) or a ``dict`` of ``(B,)`` arrays, which the batched
-        Newton driver slices row-wise as designs converge and drop out of the
-        active sub-batch.
+        temperatures.  Returns a dict of ``(B,)`` arrays, which the batched
+        DC and transient drivers slice row-wise as designs converge and
+        drop out of the active sub-batch.
 
         Bit-identity contract: constants that the serial model derives with
         scalar math (temperature laws, geometry ratios, saturation currents)
         must be computed here by calling the *same scalar code* once per
         sibling -- general ``array ** exponent`` is not bit-identical to the
         scalar power it replaces.  Only voltage-dependent elementwise math
-        belongs in :meth:`stamp_dc_batch`.
+        belongs in the stamps.
         """
-        return None
+        return {}
 
     def stamp_dc_batch(self, stamper, siblings, voltages: np.ndarray,
-                       temperatures: np.ndarray, context=None) -> None:
+                       temperatures: np.ndarray, context: dict) -> None:
         """Stamp DC contributions for a batch of sibling devices at once.
 
         ``stamper`` is a :class:`~repro.spice.mna.BatchStamper` accepting
         scalar or ``(B,)`` values per stamp; ``voltages`` is the
-        ``(B, size)`` matrix of trial solutions and ``context`` is (a
-        row-sliced view of) whatever :meth:`dc_batch_context` returned.
-        Overrides must accumulate exactly the same additions in the same
-        order as :meth:`stamp_dc` does per design, so batched and serial
-        Newton iterates stay bit-identical.
-
-        The base implementation is the automatic per-design fallback: each
-        sibling stamps through a serial view of its slice of the batch.
+        ``(B, size)`` matrix of trial solutions and ``context`` is the
+        row-sliced :meth:`batch_context`.  Implementations must accumulate
+        exactly the same additions in the same order as :meth:`stamp_dc`
+        does per design, so batched and serial Newton iterates stay
+        bit-identical.
         """
-        stamper.stamp_device_serial(siblings, voltages, temperatures)
-
-    #: whether consecutive device columns of this class may be stamped
-    #: through one fused kernel (``dc_batch_fused_layout`` +
-    #: ``stamp_dc_batch_fused`` classmethods) instead of one
-    #: :meth:`stamp_dc_batch` call per column.  Fusion amortises the
-    #: fixed numpy dispatch cost of the model evaluation over all device
-    #: rows at once; the fused kernel must still accumulate per-cell
-    #: contributions in original device order to stay bit-identical.
-    dc_batch_fusable = False
+        raise NotImplementedError
 
     def stamp_ac(self, stamper, omega: float, operating_point) -> None:
         """Stamp AC small-signal contributions."""
@@ -295,23 +292,10 @@ class Device:
         """Roll ``state`` forward after a step is accepted (default: no-op)."""
         return
 
-    # -- batched transient ---------------------------------------------- #
-    def transient_batch_context(self, siblings, temperatures: np.ndarray):
-        """Precompute per-design constants for :meth:`stamp_transient_batch`.
-
-        Same shape and bit-identity rules as :meth:`dc_batch_context`:
-        return ``None`` for the per-design fallback or a dict of ``(B,)``
-        arrays for the vectorized stamp.  Classes that override
-        :meth:`stamp_transient` should override this pair together --
-        inheriting a quasi-static batch stamp over a stateful serial stamp
-        would silently diverge.
-        """
-        return None
-
     def stamp_transient_batch(self, stamper, siblings, voltages: np.ndarray,
                               states, times: np.ndarray, dts: np.ndarray,
                               trap: np.ndarray, temperatures: np.ndarray,
-                              context=None) -> None:
+                              context: dict) -> None:
         """Stamp one transient Newton iteration for a batch of siblings.
 
         ``states[b]`` is design ``b``'s state dict for this device (with the
@@ -322,10 +306,10 @@ class Device:
         accumulate exactly the same additions in the same order as
         :meth:`stamp_transient` does per design.
 
-        The base implementation is the automatic per-design fallback.
+        The default is quasi-static, like :meth:`stamp_transient`: a class
+        that overrides :meth:`stamp_transient` overrides this too.
         """
-        stamper.stamp_device_transient_serial(siblings, voltages, states,
-                                              dts, temperatures)
+        self.stamp_dc_batch(stamper, siblings, voltages, temperatures, context)
 
     def operating_info(self, voltages: np.ndarray, temperature: float) -> dict[str, float]:
         """Per-device operating-point quantities (currents, gm, region, ...)."""

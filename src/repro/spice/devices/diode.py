@@ -79,7 +79,7 @@ class Diode(TwoTerminal):
         stamper.add_conductance(pos, neg, conductance)
         stamper.add_current(pos, neg, equivalent)
 
-    def dc_batch_context(self, siblings, temperatures):
+    def batch_context(self, siblings, temperatures):
         # The temperature laws use general powers (``ratio**3`` is fine, but
         # the Arrhenius exponential feeds on scalar divisions); evaluate the
         # exact scalar model once per design so batched and serial runs share
@@ -94,9 +94,7 @@ class Diode(TwoTerminal):
         return {"n_vt": n_vt, "i_sat": i_sat}
 
     def stamp_dc_batch(self, stamper, siblings, voltages, temperatures,
-                       context=None) -> None:
-        if context is None:
-            context = self.dc_batch_context(siblings, temperatures)
+                       context) -> None:
         n_vt = context["n_vt"]
         i_sat = context["i_sat"]
         v = self.voltage_across_batch(voltages)
@@ -109,15 +107,6 @@ class Diode(TwoTerminal):
         pos, neg = self.positive_index, self.negative_index
         stamper.add_conductance(pos, neg, conductance)
         stamper.add_current(pos, neg, equivalent)
-
-    def transient_batch_context(self, siblings, temperatures):
-        # Quasi-static: the transient stamp is exactly the DC stamp.
-        return self.dc_batch_context(siblings, temperatures)
-
-    def stamp_transient_batch(self, stamper, siblings, voltages, states,
-                              times, dts, trap, temperatures,
-                              context=None) -> None:
-        self.stamp_dc_batch(stamper, siblings, voltages, temperatures, context)
 
     def stamp_ac(self, stamper, omega: float, operating_point) -> None:
         info = operating_point.device_info.get(self.name, {})

@@ -197,8 +197,8 @@ def _square_law_batch(vth: np.ndarray, beta: np.ndarray, lam: np.ndarray,
     vds = np.maximum(vds, 0.0)
     cutoff = vov <= 0.0
     triode = vds < vov
-    # Callers (the batch assembler / stamp_dc_batch) run under an errstate
-    # that silences the overflows and invalids NaN trial voltages produce.
+    # Callers (the batch assemblers) run under an errstate that silences
+    # the overflows and invalids NaN trial voltages produce.
     # float_power, not ** : the array squaring fast path multiplies, while
     # Python's scalar ``x ** 2`` goes through libm pow -- they can disagree
     # in the last ulp, which bit-identity cannot afford.  Repeated
@@ -223,6 +223,65 @@ def _square_law_batch(vth: np.ndarray, beta: np.ndarray, lam: np.ndarray,
     gds = np.where(cutoff, 1e-9,
                    np.maximum(np.where(triode, gds_tri, gds_sat), 1e-12))
     return ids, gm, gds
+
+
+def batch_layout(devices) -> dict:
+    """Static per-row layout of ``D`` MOSFETs for :func:`large_signal_batch`.
+
+    ``devices`` are the first design's MOSFETs in netlist order; node
+    indices are topology-invariant across the batch.  ``terminals`` stacks
+    the drain, gate and source indices with the conduction pair: ``high``
+    is the terminal that must sit at or above ``low`` for forward
+    conduction (drain over source for NMOS, source over drain for PMOS).
+    ``sign`` is +1 for NMOS rows and -1 for PMOS rows.
+    """
+    nmos = np.array([device.model.polarity == "nmos" for device in devices])
+    drain, gate, source = (np.array([device.node_indices[k]
+                                     for device in devices])
+                           for k in range(3))
+    terminals = np.stack((drain, gate, source,
+                          np.where(nmos, drain, source),
+                          np.where(nmos, source, drain)))
+    grounded = terminals < 0
+    return {"terminals": terminals,
+            "grounded": grounded if grounded.any() else None,
+            "sign": np.where(nmos, 1.0, -1.0)[:, None]}
+
+
+def large_signal_batch(layout: dict, params: dict,
+                       voltages: np.ndarray) -> tuple:
+    """Linearised drain-current stamps of ``D`` MOSFETs over a batch.
+
+    ``params`` holds the ``(D, B)`` stacks of each row's
+    :meth:`Mosfet.batch_context` (``vth``, ``beta``, ``lam``) and
+    ``voltages`` the ``(B, size)`` trial solutions.  Returns the ``(D, B)``
+    arrays ``d_vd``, ``d_vg``, ``d_vs`` (partials of the drain current) and
+    the Newton-equivalent current.  The square law runs once on ``(D, B)``
+    tensors; elementwise numpy ops are position-independent, and each lane
+    takes the arguments of its scalar branch in
+    :meth:`Mosfet._ids_and_derivatives`, so each row is bit-identical to
+    the scalar :meth:`Mosfet.stamp_dc` of that device in each design.
+    """
+    values = voltages.T[layout["terminals"]]  # (5, D, B) copy: writable
+    if layout["grounded"] is not None:
+        values[layout["grounded"]] = 0.0
+    v_d, v_g, v_s, v_high, v_low = values
+    sign = layout["sign"]
+    forward = v_high >= v_low
+    # The gate is referenced to the source when forward and to the drain
+    # when reversed; PMOS negates v_g - v_ref exactly, up to the sign of a
+    # zero, which vgs - vth absorbs.
+    vgs = sign * (v_g - np.where(forward, v_s, v_d))
+    vds = np.where(forward, v_high - v_low, v_low - v_high)
+    ids, gm, gds = _square_law_batch(params["vth"], params["beta"],
+                                     params["lam"], vgs, vds)
+    i_ds = sign * np.where(forward, ids, -ids)
+    gm_gds = gm + gds
+    d_vd = np.where(forward, gds, gm_gds)
+    d_vg = np.where(forward, gm, -gm)
+    d_vs = np.where(forward, -gm_gds, -gds)
+    equivalent = i_ds - (d_vd * v_d + d_vg * v_g + d_vs * v_s)
+    return d_vd, d_vg, d_vs, equivalent
 
 
 class Mosfet(Device):
@@ -302,12 +361,10 @@ class Mosfet(Device):
         equivalent = i_ds - (d_vd * v_d + d_vg * v_g + d_vs * v_s)
         stamper.add_current(drain, source, equivalent)
 
-    def dc_batch_context(self, siblings, temperatures):
+    def batch_context(self, siblings, temperatures):
         # Temperature/geometry constants via the exact scalar model per
         # design: the mobility law's general power is not bit-reproducible
         # when vectorized, so only voltage-dependent math is batched.
-        if any(d.model.polarity != self.model.polarity for d in siblings):
-            return None  # mixed polarity: fall back to per-design stamping
         count = len(siblings)
         vth = np.empty(count)
         beta = np.empty(count)
@@ -322,115 +379,23 @@ class Mosfet(Device):
         return {"vth": vth, "beta": beta, "lam": lam}
 
     def stamp_dc_batch(self, stamper, siblings, voltages, temperatures,
-                       context=None) -> None:
-        if context is None:
-            context = self.dc_batch_context(siblings, temperatures)
-        if context is None:
-            stamper.stamp_device_serial(siblings, voltages, temperatures)
-            return
+                       context) -> None:
+        """Stamp this column's row of :func:`large_signal_batch`.
+
+        The batch assemblers evaluate every MOSFET of the netlist in one
+        kernel call per assembly and put this device's row of its four
+        outputs under ``context["large_signal"]`` before the stamp loop
+        reaches it.
+        """
+        d_vd, d_vg, d_vs, equivalent = context["large_signal"]
         drain, gate, source, _ = self.node_indices
-        v_d = 0.0 if drain < 0 else voltages[:, drain]
-        v_g = 0.0 if gate < 0 else voltages[:, gate]
-        v_s = 0.0 if source < 0 else voltages[:, source]
-        # Vectorized drain/source swap: ``forward`` lanes evaluate the model
-        # with the same arguments as the scalar branches, and the derivative
-        # tuple mapping is shared by both polarities (see
-        # _ids_and_derivatives).
-        if self.model.polarity == "nmos":
-            forward = v_d >= v_s
-            vgs = np.where(forward, v_g - v_s, v_g - v_d)
-            vds = np.where(forward, v_d - v_s, v_s - v_d)
-        else:
-            forward = v_s >= v_d
-            vgs = np.where(forward, v_s - v_g, v_d - v_g)
-            vds = np.where(forward, v_s - v_d, v_d - v_s)
-        ids, gm, gds = _square_law_batch(context["vth"], context["beta"],
-                                         context["lam"], vgs, vds)
-        if self.model.polarity == "nmos":
-            i_ds = np.where(forward, ids, -ids)
-        else:
-            i_ds = np.where(forward, -ids, ids)
-        d_vd = np.where(forward, gds, gm + gds)
-        d_vg = np.where(forward, gm, -gm)
-        d_vs = np.where(forward, -(gm + gds), -gds)
         stamper.add_entry(drain, drain, d_vd)
         stamper.add_entry(drain, gate, d_vg)
         stamper.add_entry(drain, source, d_vs)
         stamper.add_entry(source, drain, -d_vd)
         stamper.add_entry(source, gate, -d_vg)
         stamper.add_entry(source, source, -d_vs)
-        equivalent = i_ds - (d_vd * v_d + d_vg * v_g + d_vs * v_s)
         stamper.add_current(drain, source, equivalent)
-
-    # ------------------------------------------------------------------ #
-    # fused stamping of consecutive mosfet columns                        #
-    # ------------------------------------------------------------------ #
-    dc_batch_fusable = True
-
-    @classmethod
-    def dc_batch_fused_layout(cls, devices) -> dict:
-        """Static per-row layout for a fused stamp of mosfet columns.
-
-        ``devices`` are the first design's devices of each fused column, in
-        original netlist order; indices are topology-invariant across the
-        batch.  ``sign`` is +1 for NMOS rows and -1 for PMOS rows: negating
-        ``v_a - v_b`` is exact, so one signed kernel reproduces both
-        polarity branches of :meth:`_ids_and_derivatives` bit-for-bit.
-        """
-        nmos = np.array([device.model.polarity == "nmos"
-                         for device in devices])
-        return {
-            "drain": np.array([device.node_indices[0] for device in devices]),
-            "gate": np.array([device.node_indices[1] for device in devices]),
-            "source": np.array([device.node_indices[2] for device in devices]),
-            "nmos": nmos[:, None],
-            "sign": np.where(nmos, 1.0, -1.0)[:, None],
-        }
-
-    @staticmethod
-    def _gather_rows(voltages: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """``(D, B)`` terminal voltages; grounded rows read exactly 0.0."""
-        values = voltages[:, indices].T  # fancy indexing copies: writable
-        grounded = indices < 0
-        if grounded.any():
-            values[grounded] = 0.0
-        return values
-
-    @classmethod
-    def stamp_dc_batch_fused(cls, stamper, devices, layout: dict,
-                             params: dict, voltages: np.ndarray) -> None:
-        """Stamp ``D`` consecutive mosfet columns with one model evaluation.
-
-        Evaluates the square law once on ``(D, B)`` tensors -- elementwise
-        numpy ops are position-independent, so each row's values are
-        bit-identical to a per-column :meth:`stamp_dc_batch` -- and then
-        stamps row by row in original device order, preserving the per-cell
-        accumulation order the serial stamp loop would produce.
-        """
-        v_d = cls._gather_rows(voltages, layout["drain"])
-        v_g = cls._gather_rows(voltages, layout["gate"])
-        v_s = cls._gather_rows(voltages, layout["source"])
-        sign = layout["sign"]
-        forward = np.where(layout["nmos"], v_d >= v_s, v_s >= v_d)
-        vgs = sign * np.where(forward, v_g - v_s, v_g - v_d)
-        vds = sign * np.where(forward, v_d - v_s, v_s - v_d)
-        ids, gm, gds = _square_law_batch(params["vth"], params["beta"],
-                                         params["lam"], vgs, vds)
-        i_ds = sign * np.where(forward, ids, -ids)
-        gm_gds = gm + gds
-        d_vd = np.where(forward, gds, gm_gds)
-        d_vg = np.where(forward, gm, -gm)
-        d_vs = np.where(forward, -gm_gds, -gds)
-        equivalent = i_ds - (d_vd * v_d + d_vg * v_g + d_vs * v_s)
-        for row, device in enumerate(devices):
-            drain, gate, source, _ = device.node_indices
-            stamper.add_entry(drain, drain, d_vd[row])
-            stamper.add_entry(drain, gate, d_vg[row])
-            stamper.add_entry(drain, source, d_vs[row])
-            stamper.add_entry(source, drain, -d_vd[row])
-            stamper.add_entry(source, gate, -d_vg[row])
-            stamper.add_entry(source, source, -d_vs[row])
-            stamper.add_current(drain, source, equivalent[row])
 
     def stamp_ac(self, stamper, omega: float, operating_point) -> None:
         drain, gate, source, _ = self.node_indices
@@ -503,20 +468,9 @@ class Mosfet(Device):
         commit_capacitor_companion(state["cgd"], state, "v_gd", "i_gd", dt,
                                    v_g - v_d)
 
-    def transient_batch_context(self, siblings, temperatures):
-        # Same constants (and the same mixed-polarity fallback) as DC: the
-        # frozen gate capacitances live per design in the transient state.
-        return self.dc_batch_context(siblings, temperatures)
-
     def stamp_transient_batch(self, stamper, siblings, voltages, states,
                               times, dts, trap, temperatures,
-                              context=None) -> None:
-        if context is None:
-            context = self.transient_batch_context(siblings, temperatures)
-        if context is None:
-            stamper.stamp_device_transient_serial(siblings, voltages, states,
-                                                  dts, temperatures)
-            return
+                              context) -> None:
         self.stamp_dc_batch(stamper, siblings, voltages, temperatures, context)
         drain, gate, source, _ = self.node_indices
         cgs = np.array([state["cgs"] for state in states])

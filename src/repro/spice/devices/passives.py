@@ -31,28 +31,17 @@ class Resistor(TwoTerminal):
         stamper.add_conductance(self.positive_index, self.negative_index,
                                 self.conductance)
 
-    def dc_batch_context(self, siblings, temperatures):
+    def batch_context(self, siblings, temperatures):
         return {"conductance": np.array([d.conductance for d in siblings])}
 
     def stamp_dc_batch(self, stamper, siblings, voltages, temperatures,
-                       context=None) -> None:
-        if context is None:
-            context = self.dc_batch_context(siblings, temperatures)
+                       context) -> None:
         stamper.add_conductance(self.positive_index, self.negative_index,
                                 context["conductance"])
 
     def stamp_ac(self, stamper, omega: float, operating_point) -> None:
         stamper.add_conductance(self.positive_index, self.negative_index,
                                 self.conductance)
-
-    def transient_batch_context(self, siblings, temperatures):
-        # Quasi-static: the transient stamp is exactly the DC stamp.
-        return self.dc_batch_context(siblings, temperatures)
-
-    def stamp_transient_batch(self, stamper, siblings, voltages, states,
-                              times, dts, trap, temperatures,
-                              context=None) -> None:
-        self.stamp_dc_batch(stamper, siblings, voltages, temperatures, context)
 
     def noise_sources(self, operating_point) -> list[NoiseSource]:
         """Johnson-Nyquist thermal noise: current PSD ``4kT/R``."""
@@ -77,8 +66,11 @@ class Capacitor(TwoTerminal):
         # Open circuit at DC; nothing to stamp.
         return
 
+    def batch_context(self, siblings, temperatures):
+        return {"capacitance": np.array([d.capacitance for d in siblings])}
+
     def stamp_dc_batch(self, stamper, siblings, voltages, temperatures,
-                       context=None) -> None:
+                       context) -> None:
         # Open circuit at DC for every design in the batch.
         return
 
@@ -101,14 +93,9 @@ class Capacitor(TwoTerminal):
         commit_capacitor_companion(self.capacitance, state, "v", "i", dt,
                                    self.voltage_across(voltages))
 
-    def transient_batch_context(self, siblings, temperatures):
-        return {"capacitance": np.array([d.capacitance for d in siblings])}
-
     def stamp_transient_batch(self, stamper, siblings, voltages, states,
                               times, dts, trap, temperatures,
-                              context=None) -> None:
-        if context is None:
-            context = self.transient_batch_context(siblings, temperatures)
+                              context) -> None:
         v_prev = np.array([state["v"] for state in states])
         i_prev = np.array([state["i"] for state in states])
         stamp_capacitor_companion_batch(stamper, self.positive_index,
@@ -147,8 +134,11 @@ class Inductor(TwoTerminal):
         stamper.add_entry(branch, self.positive_index, 1.0)
         stamper.add_entry(branch, self.negative_index, -1.0)
 
+    def batch_context(self, siblings, temperatures):
+        return {"inductance": np.array([d.inductance for d in siblings])}
+
     def stamp_dc_batch(self, stamper, siblings, voltages, temperatures,
-                       context=None) -> None:
+                       context) -> None:
         # The DC short stamps are value-free, hence identical across designs.
         self.stamp_dc(stamper, None, 0.0)
 
@@ -187,14 +177,9 @@ class Inductor(TwoTerminal):
         state["i"] = float(voltages[self.branch_indices[0]])
         state["v"] = self.voltage_across(voltages)
 
-    def transient_batch_context(self, siblings, temperatures):
-        return {"inductance": np.array([d.inductance for d in siblings])}
-
     def stamp_transient_batch(self, stamper, siblings, voltages, states,
                               times, dts, trap, temperatures,
-                              context=None) -> None:
-        if context is None:
-            context = self.transient_batch_context(siblings, temperatures)
+                              context) -> None:
         branch = self.branch_indices[0]
         self._stamp_branch_kcl(stamper)
         stamper.add_entry(branch, self.positive_index, 1.0)

@@ -185,14 +185,12 @@ class VoltageSource(TwoTerminal):
     def stamp_dc(self, stamper, voltages: np.ndarray, temperature: float) -> None:
         self._stamp_branch(stamper, self.dc)
 
-    def dc_batch_context(self, siblings, temperatures):
+    def batch_context(self, siblings, temperatures):
         # The DC value varies across the batch (e.g. per-corner supply scaling).
         return {"dc": np.array([d.dc for d in siblings])}
 
     def stamp_dc_batch(self, stamper, siblings, voltages, temperatures,
-                       context=None) -> None:
-        if context is None:
-            context = self.dc_batch_context(siblings, temperatures)
+                       context) -> None:
         self._stamp_branch(stamper, context["dc"])
 
     def stamp_ac(self, stamper, omega: float, operating_point) -> None:
@@ -202,17 +200,12 @@ class VoltageSource(TwoTerminal):
                         dt: float, temperature: float) -> None:
         self._stamp_branch(stamper, self.value_at(state["time"]))
 
-    def transient_batch_context(self, siblings, temperatures):
-        # No shareable constants: each design is at its own solve time, so
-        # the stamp evaluates the waveform per design.  An empty dict (not
-        # None) still selects the vectorized branch stamp.
-        return {}
-
     def stamp_transient_batch(self, stamper, siblings, voltages, states,
                               times, dts, trap, temperatures,
-                              context=None) -> None:
-        # Scalar value_at per design keeps the waveform math bit-identical
-        # to the serial stamp; only the branch stamping is vectorized.
+                              context) -> None:
+        # Each design is at its own solve time.  Scalar value_at per design
+        # keeps the waveform math bit-identical to the serial stamp; only
+        # the branch stamping is vectorized.
         values = np.array([device.value_at(float(t))
                            for device, t in zip(siblings, times)])
         self._stamp_branch(stamper, values)
@@ -245,13 +238,11 @@ class CurrentSource(TwoTerminal):
     def stamp_dc(self, stamper, voltages: np.ndarray, temperature: float) -> None:
         stamper.add_current(self.positive_index, self.negative_index, self.dc)
 
-    def dc_batch_context(self, siblings, temperatures):
+    def batch_context(self, siblings, temperatures):
         return {"dc": np.array([d.dc for d in siblings])}
 
     def stamp_dc_batch(self, stamper, siblings, voltages, temperatures,
-                       context=None) -> None:
-        if context is None:
-            context = self.dc_batch_context(siblings, temperatures)
+                       context) -> None:
         stamper.add_current(self.positive_index, self.negative_index,
                             context["dc"])
 
@@ -263,12 +254,9 @@ class CurrentSource(TwoTerminal):
         stamper.add_current(self.positive_index, self.negative_index,
                             self.value_at(state["time"]))
 
-    def transient_batch_context(self, siblings, temperatures):
-        return {}
-
     def stamp_transient_batch(self, stamper, siblings, voltages, states,
                               times, dts, trap, temperatures,
-                              context=None) -> None:
+                              context) -> None:
         values = np.array([device.value_at(float(t))
                            for device, t in zip(siblings, times)])
         stamper.add_current(self.positive_index, self.negative_index, values)
@@ -289,25 +277,14 @@ class VCCS(Device):
         out_p, out_n, ctrl_p, ctrl_n = self.node_indices
         stamper.add_transconductance(out_p, out_n, ctrl_p, ctrl_n, self.gm)
 
-    def dc_batch_context(self, siblings, temperatures):
+    def batch_context(self, siblings, temperatures):
         return {"gm": np.array([d.gm for d in siblings])}
 
     def stamp_dc_batch(self, stamper, siblings, voltages, temperatures,
-                       context=None) -> None:
-        if context is None:
-            context = self.dc_batch_context(siblings, temperatures)
+                       context) -> None:
         out_p, out_n, ctrl_p, ctrl_n = self.node_indices
         stamper.add_transconductance(out_p, out_n, ctrl_p, ctrl_n,
                                      context["gm"])
-
-    def transient_batch_context(self, siblings, temperatures):
-        # Quasi-static: the transient stamp is exactly the DC stamp.
-        return self.dc_batch_context(siblings, temperatures)
-
-    def stamp_transient_batch(self, stamper, siblings, voltages, states,
-                              times, dts, trap, temperatures,
-                              context=None) -> None:
-        self.stamp_dc_batch(stamper, siblings, voltages, temperatures, context)
 
     def stamp_ac(self, stamper, omega: float, operating_point) -> None:
         out_p, out_n, ctrl_p, ctrl_n = self.node_indices
@@ -324,27 +301,7 @@ class VCVS(Device):
         super().__init__(name, (out_positive, out_negative, ctrl_positive, ctrl_negative))
         self.mu = float(mu)
 
-    def _stamp(self, stamper) -> None:
-        out_p, out_n, ctrl_p, ctrl_n = self.node_indices
-        branch = self.branch_indices[0]
-        stamper.add_entry(out_p, branch, 1.0)
-        stamper.add_entry(out_n, branch, -1.0)
-        stamper.add_entry(branch, out_p, 1.0)
-        stamper.add_entry(branch, out_n, -1.0)
-        stamper.add_entry(branch, ctrl_p, -self.mu)
-        stamper.add_entry(branch, ctrl_n, self.mu)
-
-    def stamp_dc(self, stamper, voltages: np.ndarray, temperature: float) -> None:
-        self._stamp(stamper)
-
-    def dc_batch_context(self, siblings, temperatures):
-        return {"mu": np.array([d.mu for d in siblings])}
-
-    def stamp_dc_batch(self, stamper, siblings, voltages, temperatures,
-                       context=None) -> None:
-        if context is None:
-            context = self.dc_batch_context(siblings, temperatures)
-        mu = context["mu"]
+    def _stamp(self, stamper, mu) -> None:
         out_p, out_n, ctrl_p, ctrl_n = self.node_indices
         branch = self.branch_indices[0]
         stamper.add_entry(out_p, branch, 1.0)
@@ -354,14 +311,15 @@ class VCVS(Device):
         stamper.add_entry(branch, ctrl_p, -mu)
         stamper.add_entry(branch, ctrl_n, mu)
 
-    def transient_batch_context(self, siblings, temperatures):
-        # Quasi-static: the transient stamp is exactly the DC stamp.
-        return self.dc_batch_context(siblings, temperatures)
+    def stamp_dc(self, stamper, voltages: np.ndarray, temperature: float) -> None:
+        self._stamp(stamper, self.mu)
 
-    def stamp_transient_batch(self, stamper, siblings, voltages, states,
-                              times, dts, trap, temperatures,
-                              context=None) -> None:
-        self.stamp_dc_batch(stamper, siblings, voltages, temperatures, context)
+    def batch_context(self, siblings, temperatures):
+        return {"mu": np.array([d.mu for d in siblings])}
+
+    def stamp_dc_batch(self, stamper, siblings, voltages, temperatures,
+                       context) -> None:
+        self._stamp(stamper, context["mu"])
 
     def stamp_ac(self, stamper, omega: float, operating_point) -> None:
-        self._stamp(stamper)
+        self._stamp(stamper, self.mu)

@@ -11,9 +11,9 @@ Two dense stamper implementations share one stamping vocabulary:
   through the scalar ``stamp_dc`` / ``stamp_transient`` / ``stamp_ac``
   device contract;
 * :class:`BatchStamper` -- ``B`` topology-identical systems as one
-  ``(B, size, size)`` tensor, filled by the vectorized ``stamp_dc_batch``
-  device contract (scalar *or* ``(B,)``-valued stamps) and solved with one
-  stacked LAPACK call.
+  ``(B, size, size)`` tensor, filled by the vectorized ``stamp_dc_batch`` /
+  ``stamp_transient_batch`` device contract (scalar *or* ``(B,)``-valued
+  stamps) and solved with one stacked LAPACK call.
 
 The DC and transient controllers always solve a :class:`BatchStamper`; a
 batch of one is filled through a :class:`Stamper` view of its single design
@@ -129,11 +129,8 @@ class BatchStamper(_StampOps):
 
     Stamp values may be scalars (identical across the batch) or ``(B,)``
     arrays (one value per design); every add lands on the same (row, col)
-    slot of all ``B`` systems at once.  Devices that do not implement the
-    vectorized contract are handled by :meth:`stamp_device_serial`, which
-    stamps each design through a per-design :class:`Stamper` view into this
-    tensor -- identical accumulation order, so the fallback stays
-    bit-identical to serial assembly.
+    slot of all ``B`` systems at once.  :meth:`design_view` exposes one
+    design's slice as a :class:`Stamper` for the scalar device contract.
     """
 
     def __init__(self, batch_size: int, n_nodes: int, n_branches: int, dtype=float):
@@ -144,7 +141,6 @@ class BatchStamper(_StampOps):
         self.matrix = np.zeros((self.batch_size, size, size), dtype=dtype)
         self.rhs = np.zeros((self.batch_size, size), dtype=dtype)
         self._diagonal = np.arange(self.n_nodes)
-        self._views: list[Stamper] | None = None
 
     @property
     def size(self) -> int:
@@ -173,36 +169,12 @@ class BatchStamper(_StampOps):
         self.matrix[:, diagonal, diagonal] += gmin
 
     # ------------------------------------------------------------------ #
-    # per-design fallback                                                 #
+    # per-design view                                                     #
     # ------------------------------------------------------------------ #
     def design_view(self, index: int) -> Stamper:
         """A :class:`Stamper` whose matrix/rhs are views of design ``index``."""
-        if self._views is None:
-            self._views = [Stamper(self.n_nodes, self.n_branches,
-                                   matrix=self.matrix[b], rhs=self.rhs[b])
-                           for b in range(self.batch_size)]
-        return self._views[index]
-
-    def stamp_device_serial(self, siblings, voltages: np.ndarray,
-                            temperatures: np.ndarray) -> None:
-        """Per-design fallback for devices without a vectorized DC stamp."""
-        for b, device in enumerate(siblings):
-            device.stamp_dc(self.design_view(b), voltages[b],
-                            float(temperatures[b]))
-
-    def stamp_device_transient_serial(self, siblings, voltages: np.ndarray,
-                                      states, dts: np.ndarray,
-                                      temperatures: np.ndarray) -> None:
-        """Per-design fallback for devices without a vectorized transient stamp.
-
-        ``states[b]`` is design ``b``'s mutable state dict for this device;
-        the transient driver has already injected the reserved ``"time"`` and
-        ``"method"`` keys for the step being attempted.
-        """
-        for b, device in enumerate(siblings):
-            device.stamp_transient(self.design_view(b), voltages[b],
-                                   states[b], float(dts[b]),
-                                   float(temperatures[b]))
+        return Stamper(self.n_nodes, self.n_branches,
+                       matrix=self.matrix[index], rhs=self.rhs[index])
 
     # ------------------------------------------------------------------ #
     # solving                                                             #

@@ -372,18 +372,13 @@ def transient_operating_point_batch(circuits, temperature=27.0,
 class _TranBatchAssembler(_ColumnAssembler):
     """Assembles the batched companion-model system for active designs.
 
-    Transient analogue of :class:`repro.spice.dc._BatchAssembler`: each
-    device's vectorized ``transient_batch_context`` is precomputed over the
-    *full* batch, and arbitrary in-flight subsets stamp by slicing those
-    contexts row-wise.
+    Transient analogue of :class:`repro.spice.dc._BatchAssembler`, with
+    each design's device states sliced alongside the contexts.
     """
 
     def __init__(self, circuits: list[Circuit], temperatures: np.ndarray,
                  states_by_design: list):
         super().__init__(circuits, temperatures)
-        self.contexts = [column[0].transient_batch_context(list(column),
-                                                          temperatures)
-                         for column in self.columns]
         # Per-column list of per-design state dicts (references -- commits
         # mutate them in place).  Designs whose initial condition failed
         # carry None; they never enter the active set, so the placeholder is
@@ -395,7 +390,7 @@ class _TranBatchAssembler(_ColumnAssembler):
             for column in self.columns]
         self._indices = self._times = self._dts = self._trap = None
 
-    def _gather_extra(self, indices: np.ndarray, index_list: list) -> list:
+    def _gather_extra(self, index_list: list) -> list:
         return [[column[i] for i in index_list]
                 for column in self.column_states]
 
@@ -413,9 +408,11 @@ class _TranBatchAssembler(_ColumnAssembler):
             self._trap = np.array([d.method == "trap" for d in active])
         indices = self._indices
         stamper = self._reset_stamper(len(indices))
-        siblings, contexts, temperatures, states = self._gather(indices)
+        siblings, contexts, temperatures, mosfet_params, states = self._gather(
+            indices)
         # One errstate frame for the whole stamp loop, like the DC assembler.
         with np.errstate(over="ignore", invalid="ignore"):
+            self._evaluate_mosfets(contexts, mosfet_params, voltages)
             for position, column in enumerate(self.columns):
                 column[0].stamp_transient_batch(
                     stamper, siblings[position], voltages, states[position],

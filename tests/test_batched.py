@@ -42,10 +42,12 @@ from repro.engine import (
 from repro.errors import ConvergenceError, NetlistError
 from repro.mc import MonteCarloConfig, MonteCarloRunner
 from repro.mc.samplers import make_sampler
+from repro.pdk import get_technology
 from repro.spice import (
     BatchStamper,
     Capacitor,
     Circuit,
+    Mosfet,
     Resistor,
     Stamper,
     StepWaveform,
@@ -72,9 +74,20 @@ GOOD_DESIGNS = {
     "bandgap": dict(r_ptat=100e3, r_out=600e3, w_mirror=10e-6, l_mirror=1e-6,
                     w_amp_in=5e-6, l_amp_in=0.5e-6, i_amp=1e-6,
                     area_ratio=8.0),
+    # Circuits whose MOSFETs are not adjacent in the netlist.
+    "ldo": dict(w_pass=100e-6, l_pass=0.5e-6, gm_ea=3e-3, r_ea=3e5,
+                c_ea=5e-12, r_fb=2e4),
+    "comparator": dict(w_in=10e-6, l_in=0.18e-6, w_latch_n=4e-6,
+                       w_latch_p=8e-6, w_tail=10e-6),
+    "ring_vco": dict(w_n=5e-6, w_p=10e-6, l_gate=0.18e-6, c_stage=1e-12),
 }
 
 ALL_CIRCUITS = sorted(GOOD_DESIGNS)
+
+#: The ring oscillates from its start-up kick on, so its transient cost
+#: grows with the window: the default 250 ns bench takes ~20 s per run,
+#: a 10 ns one (several rail-to-rail periods) under a second.
+PROBLEM_OPTIONS = {"ring_vco": dict(t_stop=1e-8)}
 
 #: AC-only benches, cheap enough for the wider random-design sweeps.
 FAST_CIRCUITS = ["two_stage_opamp", "three_stage_opamp", "bandgap"]
@@ -111,7 +124,8 @@ class TestBatchedDC:
     @pytest.mark.parametrize("name", ALL_CIRCUITS)
     @pytest.mark.parametrize("technology", ["180nm", "40nm"])
     def test_registry_circuits_bit_identical(self, name, technology):
-        problem = make_problem(name, technology=technology)
+        problem = make_problem(name, technology=technology,
+                               **PROBLEM_OPTIONS.get(name, {}))
         designs = _designs(problem, name, n_random=4)
         for key, circuits in _builder_batches(problem, designs).items():
             serial = [dc_operating_point(c) for c in circuits]
@@ -294,6 +308,18 @@ def _ladder(design):
     return circuit
 
 
+def _common_source(design):
+    """A resistor-loaded stage whose MOSFET polarity is a design value."""
+    technology = get_technology("180nm")
+    model = technology.pmos if design["pmos"] else technology.nmos
+    circuit = Circuit("common_source")
+    circuit.add(VoltageSource("VDD", "vdd", "0", dc=technology.vdd))
+    circuit.add(VoltageSource("VIN", "in", "0", dc=0.9))
+    circuit.add(Resistor("RL", "vdd", "out", 10e3))
+    circuit.add(Mosfet("M1", "out", "in", "0", "0", model, 10e-6, 1e-6))
+    return circuit
+
+
 def _ladder_bench():
     frequencies = np.logspace(5, 9, 9)
     return Testbench(
@@ -316,7 +342,7 @@ def _ladder_bench():
 class TestBatchSimulator:
     @pytest.mark.parametrize("name", ALL_CIRCUITS)
     def test_good_design_bit_identical(self, name):
-        problem = make_problem(name)
+        problem = make_problem(name, **PROBLEM_OPTIONS.get(name, {}))
         bench = problem.bench
         design = GOOD_DESIGNS[name]
         serial = Simulator().run(bench, design)
@@ -408,6 +434,28 @@ class TestBatchSimulator:
         assert serial == batched
         assert serial["repro_bench_runs_total"] == 1
         assert serial["repro_bench_failures_total"] == 1
+
+    def test_mixed_polarity_rejected_and_served_serially(self):
+        # Sibling MOSFETs of another polarity are a topology mismatch: the
+        # stacked solvers refuse the batch and BatchSimulator serves it
+        # through its serial path.
+        designs = [{"pmos": 0.0}, {"pmos": 1.0}]
+        with pytest.raises(NetlistError, match="'M1'"):
+            dc_operating_point_batch([_common_source(design)
+                                      for design in designs])
+        bench = Testbench(
+            name="common_source",
+            builders={"main": _common_source},
+            analyses=[OPSpec("op")],
+            measures=[Measure("v_out", lambda ctx:
+                              ctx.result("op").node_voltages["out"])])
+        serial = [Simulator().run(bench, design) for design in designs]
+        batched = BatchSimulator().run([(bench, design) for design in designs])
+        for res_serial, res_batched in zip(serial, batched):
+            assert res_serial.ok and res_batched.ok
+            assert res_serial.metrics == res_batched.metrics
+            assert res_serial.stats == res_batched.stats
+        assert serial[0].metrics != serial[1].metrics
 
     def test_design_dependent_topology_falls_back_bit_identical(self):
         bench = _ladder_bench()

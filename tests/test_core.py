@@ -1,4 +1,4 @@
-"""Tests for the KATO core: NeukGP, KAT-GP, selective transfer and Algorithm 1."""
+"""Tests for the KATO core: Neural-Kernel GPs, KAT-GP, selective transfer and Algorithm 1."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,13 @@ import pytest
 from repro.core import (
     KATGP,
     KATO,
-    NeukGP,
     SelectiveTransfer,
     SourceModel,
     neural_kernel_factory,
 )
 from repro.bo import MACE
 from repro.errors import NotFittedError
-from repro.gp import MultiOutputGP
+from repro.gp import GPRegression, MultiOutputGP
 from repro.kernels import NeuralKernel
 
 
@@ -35,7 +34,7 @@ def _target_dataset(rng, n=30, d_in=4, d_out=2):
 
 class TestNeukGP:
     def test_neukgp_uses_neural_kernel(self, rng):
-        model = NeukGP(input_dim=3, rng=0)
+        model = GPRegression(kernel=neural_kernel_factory(rng=0)(3))
         assert isinstance(model.kernel, NeuralKernel)
         x = rng.uniform(size=(20, 3))
         y = np.sum(x, axis=1)

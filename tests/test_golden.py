@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuits import available_problems, make_problem
+from repro.circuits import make_problem
 from repro.spice import (
     Capacitor,
     Circuit,
@@ -94,18 +94,22 @@ class TestTransientGolden:
             expected_peak, rel=1e-2)
 
 
+#: The built-in problems that own a netlist.  The corner, yield and robust
+#: wrappers simulate these same netlists, and the registry is open to
+#: problems that other test modules register, so the list is fixed here.
+BUILTIN_CIRCUITS = ("bandgap", "comparator", "ldo", "ring_vco",
+                    "three_stage_opamp", "two_stage_opamp",
+                    "two_stage_opamp_settling")
+
+
 class TestACGolden:
     """Vectorized AC path vs. the per-frequency reference, every circuit."""
 
     FREQUENCIES = np.logspace(1, 9, 33)
 
-    @pytest.mark.parametrize("name", available_problems())
+    @pytest.mark.parametrize("name", BUILTIN_CIRCUITS)
     def test_vectorized_matches_per_frequency(self, name):
         problem = make_problem(name, "180nm")
-        if not hasattr(problem, "build_circuit"):
-            # Corner sweeps own no netlist of their own; their per-corner
-            # children are the base circuits already covered by this sweep.
-            pytest.skip(f"{name} wraps circuits covered by their base entries")
         # The bandgap AC testbench measures PSRR, so excite its supply.
         kwargs = {"supply_ac": 1.0} if name == "bandgap" else {}
         # Use the first design of a fixed-seed batch whose DC converges (not
