@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import astuple, dataclass, replace
+from functools import cached_property
 
 from repro.pdk.variation import MismatchCard, VariationSample
 from repro.spice.devices.mosfet import MosfetModel
@@ -105,7 +106,10 @@ class Technology:
         sample's z-scores enter :attr:`fingerprint` so no two samples -- and
         no sample and the nominal card -- ever share design-cache entries.
         """
-        return replace(self, variation=sample)
+        derived = replace(self, variation=sample)
+        # Every sample of this card shares its nominal fingerprint text.
+        derived.__dict__["_nominal_repr"] = self._nominal_repr
+        return derived
 
     def mismatch_card(self, polarity: str) -> MismatchCard:
         """The Pelgrom coefficients of one polarity (``"nmos"``/``"pmos"``)."""
@@ -123,8 +127,19 @@ class Technology:
         nominal node and an ``ss`` corner derived from it -- must never share
         design-cache entries; the circuit problems fold this digest into
         their cache tokens.
+
+        The digest is of ``repr(astuple(self))``.  ``variation`` is the last
+        field, so that text is the nominal part's (cached, and shared by
+        every :meth:`with_variation` sample) followed by the sample's.
         """
-        return hashlib.sha1(repr(astuple(self)).encode()).hexdigest()[:16]
+        variation = None if self.variation is None else astuple(self.variation)
+        text = f"{self._nominal_repr}{variation!r})"
+        return hashlib.sha1(text.encode()).hexdigest()[:16]
+
+    @cached_property
+    def _nominal_repr(self) -> str:
+        """``repr(astuple(self))`` up to the ``variation`` field's text."""
+        return repr(astuple(replace(self, variation=None)))[:-len("None)")]
 
     def describe(self) -> dict[str, float | str]:
         return {

@@ -281,8 +281,7 @@ class _ColumnAssembler:
         """Siblings, sliced contexts and temperatures of ``indices``.
 
         The fourth entry is the MOSFET parameter stack sliced to
-        ``indices`` and the fifth whatever :meth:`_gather_extra` slices for
-        the subclass.
+        ``indices``.
         """
         key = indices.tobytes()
         cached = self._gather_cache.get(key)
@@ -300,12 +299,9 @@ class _ColumnAssembler:
                 mosfet_params = {name: values[:, indices]
                                  for name, values in self.mosfet_params.items()}
             cached = (siblings, contexts, self.temperatures[indices],
-                      mosfet_params, self._gather_extra(index_list))
+                      mosfet_params)
             self._gather_cache[key] = cached
         return cached
-
-    def _gather_extra(self, index_list: list):
-        return None
 
     def _evaluate_mosfets(self, contexts: list, mosfet_params,
                           voltages: np.ndarray) -> None:
@@ -337,7 +333,7 @@ class _BatchAssembler(_ColumnAssembler):
     def assemble(self, indices: np.ndarray, voltages: np.ndarray, gmin: float):
         """Stamp the active sub-batch ``indices`` at trial ``voltages``."""
         stamper = self._reset_stamper(len(indices))
-        siblings, contexts, temperatures, mosfet_params, _ = self._gather(
+        siblings, contexts, temperatures, mosfet_params = self._gather(
             indices)
         # One errstate frame for the whole stamp loop: device models produce
         # benign overflows/invalids on NaN trial voltages, and entering a

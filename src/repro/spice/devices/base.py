@@ -31,14 +31,16 @@ Transient analysis (:func:`repro.spice.transient.transient_analysis`)
 discretises each reactive device into a *companion model* -- a conductance
 plus an independent current source whose values depend on the timestep
 ``dt``, the integration method and the device's previously accepted state.
-The solver drives three hooks:
+The serial solver drives three hooks:
 
 1. :meth:`Device.init_transient` is called once after the initial DC solve
-   and returns the device's mutable ``state`` dictionary (previous voltages,
-   currents, frozen capacitance values, ...).  The solver additionally
-   maintains two reserved keys in every state: ``state["time"]`` (the time
-   being solved for) and ``state["method"]`` (``"be"`` for backward Euler or
-   ``"trap"`` for trapezoidal).
+   and returns the device's mutable ``state`` dictionary of floats
+   (previous voltages, currents, frozen capacitance values, ...).
+   :meth:`repro.spice.netlist.Circuit.stamp_transient` additionally writes
+   two reserved keys into every state before each stamp: ``state["time"]``
+   (the time being solved for) and ``state["method"]`` (``"be"`` for
+   backward Euler or ``"trap"`` for trapezoidal).  The reserved keys belong
+   to this scalar contract only; the batched contract never sees them.
 2. :meth:`Device.stamp_transient` stamps the companion model for the current
    Newton iterate.  The default implementation delegates to
    :meth:`stamp_dc`, which is exactly right for memoryless devices
@@ -53,7 +55,7 @@ Batched contract
 The batched DC and transient solvers
 (:func:`repro.spice.dc.dc_operating_point_batch`,
 :func:`repro.spice.transient.transient_analysis_batch`) stamp all sibling
-devices of a topology-identical batch at once through three hooks:
+devices of a topology-identical batch at once through four hooks:
 
 1. :meth:`Device.batch_context` precomputes per-design ``(B,)`` constants
    once per batch and returns them as a dict (the base returns ``{}``).
@@ -66,11 +68,22 @@ devices of a topology-identical batch at once through three hooks:
    independently per design.  The default is quasi-static: it delegates to
    :meth:`stamp_dc_batch`, just as :meth:`stamp_transient` delegates to
    :meth:`stamp_dc`.
+4. :meth:`Device.commit_transient_batch` is the vectorized
+   :meth:`commit_transient`, called once per Newton pass for every design
+   whose step was accepted in that pass (default: no-op).
+
+The batched transient state of a device is one dict of ``(B,)`` arrays:
+the designs' :meth:`Device.init_transient` dicts, stacked key by key once
+per batch.  It carries no reserved keys -- the integration method arrives
+as the ``trap`` mask -- except that independent sources (devices with a
+``value_at`` method) get a ``"value"`` array: each design's source value
+at the time its current step attempt solves for, computed once when the
+attempt begins (a source without a waveform keeps its dc value).
 
 Every device class implements :meth:`stamp_dc_batch`; there is no
-per-design fallback.  A stamp must accumulate exactly the same additions in
-the same order as the serial stamp does per design, so batched and serial
-iterates stay bit-identical.
+per-design fallback.  A stamp or commit must perform exactly the same
+arithmetic in the same order as the serial hook does per design, so batched
+and serial iterates stay bit-identical.
 """
 
 from __future__ import annotations
@@ -129,6 +142,24 @@ def commit_capacitor_companion(capacitance: float, state: dict,
         i_new = capacitance / dt * (v_new - state[v_key])
     state[v_key] = v_new
     state[i_key] = i_new
+
+
+def commit_capacitor_companion_batch(capacitance: np.ndarray, state: dict,
+                                     v_key: str, i_key: str,
+                                     rows: np.ndarray, dts: np.ndarray,
+                                     trap: np.ndarray, v_new) -> None:
+    """Vectorized :func:`commit_capacitor_companion` over accepted designs.
+
+    ``state`` holds the full-batch ``(B,)`` arrays and is updated in place
+    at ``rows``; ``capacitance``, ``dts``, ``trap`` and ``v_new`` are
+    aligned with ``rows``.  Both method lanes are evaluated and blended with
+    ``np.where``, like :func:`stamp_capacitor_companion_batch`.
+    """
+    swing = v_new - state[v_key][rows]
+    i_new = np.where(trap, 2.0 * capacitance / dts * swing - state[i_key][rows],
+                     capacitance / dts * swing)
+    state[v_key][rows] = v_new
+    state[i_key][rows] = i_new
 
 
 class NoiseSource:
@@ -273,8 +304,10 @@ class Device:
         """Build this device's mutable transient state from the DC solution.
 
         Memoryless devices need no state; the base implementation returns an
-        empty dictionary (the solver still injects the reserved ``"time"``
-        and ``"method"`` keys).
+        empty dictionary.  Values must be floats: the batched solver stacks
+        these dicts key by key into ``(B,)`` arrays.  The serial solver
+        injects the reserved ``"time"`` and ``"method"`` keys into the dict
+        it stamps; the batched solver does not.
         """
         return {}
 
@@ -293,13 +326,14 @@ class Device:
         return
 
     def stamp_transient_batch(self, stamper, siblings, voltages: np.ndarray,
-                              states, times: np.ndarray, dts: np.ndarray,
+                              state: dict, times: np.ndarray, dts: np.ndarray,
                               trap: np.ndarray, temperatures: np.ndarray,
                               context: dict) -> None:
         """Stamp one transient Newton iteration for a batch of siblings.
 
-        ``states[b]`` is design ``b``'s state dict for this device (with the
-        reserved ``"time"``/``"method"`` keys already set), ``times``/``dts``
+        ``state`` is this column's batched transient state (a dict of
+        ``(B,)`` arrays, see the module text) row-sliced like ``context``;
+        it has no reserved ``"time"``/``"method"`` keys.  ``times``/``dts``
         are the per-design solve times and timesteps, and ``trap`` is the
         per-design trapezoidal-method mask -- designs step asynchronously,
         so none of these are shared across the batch.  Overrides must
@@ -310,6 +344,20 @@ class Device:
         that overrides :meth:`stamp_transient` overrides this too.
         """
         self.stamp_dc_batch(stamper, siblings, voltages, temperatures, context)
+
+    def commit_transient_batch(self, voltages: np.ndarray, state: dict,
+                               rows: np.ndarray, dts: np.ndarray,
+                               trap: np.ndarray, context: dict) -> None:
+        """Roll the batched ``state`` forward for the accepted designs ``rows``.
+
+        ``voltages`` holds the accepted solutions of ``rows`` (one row
+        each); ``dts`` and ``trap`` are their timesteps and trapezoidal
+        mask.  ``state`` and ``context`` are the *full-batch* dicts, and
+        ``state`` is updated in place at ``rows``.  Overrides must mirror
+        :meth:`commit_transient` bit for bit per design; the default is a
+        no-op, like :meth:`commit_transient`.
+        """
+        return
 
     def operating_info(self, voltages: np.ndarray, temperature: float) -> dict[str, float]:
         """Per-device operating-point quantities (currents, gm, region, ...)."""

@@ -16,6 +16,7 @@ from repro.spice.devices.base import (
     Device,
     NoiseSource,
     commit_capacitor_companion,
+    commit_capacitor_companion_batch,
     stamp_capacitor_companion,
     stamp_capacitor_companion_batch,
 )
@@ -468,21 +469,28 @@ class Mosfet(Device):
         commit_capacitor_companion(state["cgd"], state, "v_gd", "i_gd", dt,
                                    v_g - v_d)
 
-    def stamp_transient_batch(self, stamper, siblings, voltages, states,
+    def stamp_transient_batch(self, stamper, siblings, voltages, state,
                               times, dts, trap, temperatures,
                               context) -> None:
         self.stamp_dc_batch(stamper, siblings, voltages, temperatures, context)
         drain, gate, source, _ = self.node_indices
-        cgs = np.array([state["cgs"] for state in states])
-        cgd = np.array([state["cgd"] for state in states])
-        v_gs = np.array([state["v_gs"] for state in states])
-        i_gs = np.array([state["i_gs"] for state in states])
-        v_gd = np.array([state["v_gd"] for state in states])
-        i_gd = np.array([state["i_gd"] for state in states])
-        stamp_capacitor_companion_batch(stamper, gate, source, cgs, v_gs,
-                                        i_gs, dts, trap)
-        stamp_capacitor_companion_batch(stamper, gate, drain, cgd, v_gd,
-                                        i_gd, dts, trap)
+        stamp_capacitor_companion_batch(stamper, gate, source, state["cgs"],
+                                        state["v_gs"], state["i_gs"], dts,
+                                        trap)
+        stamp_capacitor_companion_batch(stamper, gate, drain, state["cgd"],
+                                        state["v_gd"], state["i_gd"], dts,
+                                        trap)
+
+    def commit_transient_batch(self, voltages, state, rows, dts, trap,
+                               context) -> None:
+        drain, gate, source, _ = self.node_indices
+        v_d = 0.0 if drain < 0 else voltages[:, drain]
+        v_g = 0.0 if gate < 0 else voltages[:, gate]
+        v_s = 0.0 if source < 0 else voltages[:, source]
+        commit_capacitor_companion_batch(state["cgs"][rows], state, "v_gs",
+                                         "i_gs", rows, dts, trap, v_g - v_s)
+        commit_capacitor_companion_batch(state["cgd"][rows], state, "v_gd",
+                                         "i_gd", rows, dts, trap, v_g - v_d)
 
     def operating_info(self, voltages: np.ndarray, temperature: float) -> dict[str, float]:
         op = self.operating_point(voltages, temperature)

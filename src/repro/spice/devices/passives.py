@@ -8,6 +8,7 @@ from repro.spice.devices.base import (
     NoiseSource,
     TwoTerminal,
     commit_capacitor_companion,
+    commit_capacitor_companion_batch,
     stamp_capacitor_companion,
     stamp_capacitor_companion_batch,
 )
@@ -93,15 +94,19 @@ class Capacitor(TwoTerminal):
         commit_capacitor_companion(self.capacitance, state, "v", "i", dt,
                                    self.voltage_across(voltages))
 
-    def stamp_transient_batch(self, stamper, siblings, voltages, states,
+    def stamp_transient_batch(self, stamper, siblings, voltages, state,
                               times, dts, trap, temperatures,
                               context) -> None:
-        v_prev = np.array([state["v"] for state in states])
-        i_prev = np.array([state["i"] for state in states])
         stamp_capacitor_companion_batch(stamper, self.positive_index,
                                         self.negative_index,
-                                        context["capacitance"], v_prev,
-                                        i_prev, dts, trap)
+                                        context["capacitance"], state["v"],
+                                        state["i"], dts, trap)
+
+    def commit_transient_batch(self, voltages, state, rows, dts, trap,
+                               context) -> None:
+        commit_capacitor_companion_batch(context["capacitance"][rows], state,
+                                         "v", "i", rows, dts, trap,
+                                         self.voltage_across_batch(voltages))
 
     def operating_info(self, voltages: np.ndarray, temperature: float) -> dict[str, float]:
         return {"v": self.voltage_across(voltages)}
@@ -177,20 +182,24 @@ class Inductor(TwoTerminal):
         state["i"] = float(voltages[self.branch_indices[0]])
         state["v"] = self.voltage_across(voltages)
 
-    def stamp_transient_batch(self, stamper, siblings, voltages, states,
+    def stamp_transient_batch(self, stamper, siblings, voltages, state,
                               times, dts, trap, temperatures,
                               context) -> None:
         branch = self.branch_indices[0]
         self._stamp_branch_kcl(stamper)
         stamper.add_entry(branch, self.positive_index, 1.0)
         stamper.add_entry(branch, self.negative_index, -1.0)
-        i_prev = np.array([state["i"] for state in states])
-        v_prev = np.array([state["v"] for state in states])
+        i_prev, v_prev = state["i"], state["v"]
         inductance = context["inductance"]
         req = np.where(trap, 2.0 * inductance / dts, inductance / dts)
         rhs = np.where(trap, -req * i_prev - v_prev, -req * i_prev)
         stamper.add_entry(branch, branch, -req)
         stamper.add_rhs(branch, rhs)
+
+    def commit_transient_batch(self, voltages, state, rows, dts, trap,
+                               context) -> None:
+        state["i"][rows] = voltages[:, self.branch_indices[0]]
+        state["v"][rows] = self.voltage_across_batch(voltages)
 
     def branch_current(self, solution: np.ndarray) -> float:
         """Current through the inductor (positive into the + terminal)."""

@@ -200,15 +200,13 @@ class VoltageSource(TwoTerminal):
                         dt: float, temperature: float) -> None:
         self._stamp_branch(stamper, self.value_at(state["time"]))
 
-    def stamp_transient_batch(self, stamper, siblings, voltages, states,
+    def stamp_transient_batch(self, stamper, siblings, voltages, state,
                               times, dts, trap, temperatures,
                               context) -> None:
-        # Each design is at its own solve time.  Scalar value_at per design
-        # keeps the waveform math bit-identical to the serial stamp; only
-        # the branch stamping is vectorized.
-        values = np.array([device.value_at(float(t))
-                           for device, t in zip(siblings, times)])
-        self._stamp_branch(stamper, values)
+        # Each design is at its own solve time; the solver evaluates the
+        # scalar value_at once per design and step attempt into
+        # state["value"], so only the branch stamping is vectorized.
+        self._stamp_branch(stamper, state["value"])
 
     def branch_current(self, solution: np.ndarray) -> float:
         """Current through the source (positive into the + terminal)."""
@@ -254,12 +252,11 @@ class CurrentSource(TwoTerminal):
         stamper.add_current(self.positive_index, self.negative_index,
                             self.value_at(state["time"]))
 
-    def stamp_transient_batch(self, stamper, siblings, voltages, states,
+    def stamp_transient_batch(self, stamper, siblings, voltages, state,
                               times, dts, trap, temperatures,
                               context) -> None:
-        values = np.array([device.value_at(float(t))
-                           for device, t in zip(siblings, times)])
-        stamper.add_current(self.positive_index, self.negative_index, values)
+        stamper.add_current(self.positive_index, self.negative_index,
+                            state["value"])
 
     def operating_info(self, voltages: np.ndarray, temperature: float) -> dict[str, float]:
         return {"i": self.dc, "v": self.voltage_across(voltages)}

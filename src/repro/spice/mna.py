@@ -82,6 +82,17 @@ class Stamper(_StampOps):
         self.matrix = np.zeros((size, size), dtype=dtype) if matrix is None else matrix
         self.rhs = np.zeros(size, dtype=dtype) if rhs is None else rhs
         self._diagonal = np.arange(self.n_nodes)
+        # Real systems stamp through memoryviews of the same buffers: for
+        # the Python-float and float64 values the scalar device contract
+        # stamps, a Python addition is the same IEEE operation as numpy's,
+        # at half the cost of boxing a numpy scalar per stamp.  (memoryview
+        # cannot index complex buffers.)
+        if self.matrix.dtype == np.float64:
+            self._cells = memoryview(self.matrix)
+            self._rhs_cells = memoryview(self.rhs)
+        else:
+            self._cells = self.matrix
+            self._rhs_cells = self.rhs
 
     @property
     def size(self) -> int:
@@ -99,12 +110,32 @@ class Stamper(_StampOps):
         """Add ``value`` at (row, col); either index may be ground (-1)."""
         if row < 0 or col < 0:
             return
-        self.matrix[row, col] += value
+        self._cells[row, col] += value
 
     def add_rhs(self, row: int, value) -> None:
         if row < 0:
             return
-        self.rhs[row] += value
+        self._rhs_cells[row] += value
+
+    # The scalar device contract stamps these two patterns most often, so
+    # they add to the cells directly instead of through add_entry/add_rhs
+    # (same additions, same order).
+    def add_conductance(self, node_a: int, node_b: int, conductance) -> None:
+        cells = self._cells
+        if node_a >= 0:
+            cells[node_a, node_a] += conductance
+        if node_b >= 0:
+            cells[node_b, node_b] += conductance
+            if node_a >= 0:
+                cells[node_a, node_b] += -conductance
+                cells[node_b, node_a] += -conductance
+
+    def add_current(self, node_from: int, node_to: int, current) -> None:
+        rhs = self._rhs_cells
+        if node_from >= 0:
+            rhs[node_from] += -current
+        if node_to >= 0:
+            rhs[node_to] += current
 
     def add_gmin(self, gmin: float) -> None:
         """Add a small conductance from every node to ground (convergence aid)."""

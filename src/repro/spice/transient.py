@@ -21,15 +21,18 @@ rate, settling time and overshoot of a step response.
 
 :func:`transient_analysis` and :func:`transient_analysis_batch` run one
 controller (:class:`_TranController`).  Every design keeps its *own*
-adaptive controller state (time, timestep, integration method, LTE history,
-breakpoint cursor), while the per-step Newton solves of all in-flight
-designs are batched into one ``(B, size, size)`` assembly and one stacked
-solve.  Because each design's decisions depend only on its own iterate
-sequence, a design's result is bit-identical at any batch size.  As in
-:mod:`repro.spice.dc`, only the assembly depends on the input: one circuit
-stamps through the scalar ``stamp_transient`` device contract, two or more
-through the vectorised ``stamp_transient_batch`` contract (see
-:mod:`repro.spice.devices.base`).
+adaptive controller state (time, timestep, integration method, LTE
+history, breakpoint cursor) as one row of the controller's arrays.  Each
+Newton pass batches the solves of all in-flight designs into one
+``(B, size, size)`` assembly and one stacked solve, then settles every
+design that finished a step attempt in that pass with masked array
+operations (LTE estimate, accept/reject, commit, next timestep).  Because
+each row's decisions depend only on its own iterate sequence, a design's
+result is bit-identical at any batch size.  As in :mod:`repro.spice.dc`,
+only the assembly depends on the input: one circuit stamps through the
+scalar ``stamp_transient`` device contract, two or more through the
+vectorised ``stamp_transient_batch`` / ``commit_transient_batch`` contract
+(see :mod:`repro.spice.devices.base`).
 """
 
 from __future__ import annotations
@@ -193,15 +196,6 @@ class TransientResult:
         return max(excursion, 0.0) / abs(swing) * 100.0
 
 
-def _divided_difference(times: list[float], values: list[np.ndarray]) -> np.ndarray:
-    """Highest-order Newton divided difference of the given samples."""
-    table = list(values)
-    for order in range(1, len(times)):
-        table = [(table[i + 1] - table[i]) / (times[i + order] - times[i])
-                 for i in range(len(table) - 1)]
-    return table[0]
-
-
 def _collect_breakpoints(circuit: Circuit, t_stop: float) -> list[float]:
     """Sorted unique waveform breakpoints in ``(0, t_stop)``, plus ``t_stop``."""
     points: set[float] = set()
@@ -334,8 +328,8 @@ def transient_analysis(circuit: Circuit, t_stop: float,
         _check_op_temperature(temperature, operating_point)
     circuit.ensure_indices()
     observed = list(observe) if observe is not None else circuit.nodes
-    controller = _TranController(t_stop, dt_initial, dt_min, dt_max, reltol,
-                                 abstol, newton_tolerance,
+    controller = _TranController([circuit], t_stop, dt_initial, dt_min,
+                                 dt_max, reltol, abstol, newton_tolerance,
                                  max_newton_iterations, damping, max_steps)
 
     if operating_point is None:
@@ -344,15 +338,19 @@ def transient_analysis(circuit: Circuit, t_stop: float,
         raise ConvergenceError(_initial_condition_message(circuit.title,
                                                           operating_point))
 
-    design = _TranDesign(0, circuit, temperature)
-    controller.start(design, operating_point)
+    rows = np.zeros(1, dtype=int)
+    controller.start(rows, [operating_point.voltages])
+    assembler = _TranScalarAssembler(
+        circuit, temperature,
+        circuit.init_transient_states(operating_point, temperature))
     with telemetry.span("spice.transient", circuit=circuit.title):
-        controller.run([design], _TranScalarAssembler(design))
-    stats = _tran_stats(design)
+        controller.run(rows, assembler)
+    [(times, solutions, dts)] = _split_log(controller)
+    stats = _tran_stats(controller, 0, dts)
     telemetry.record_solve(stats)
-    if design.error is not None:
-        raise design.error
-    return _tran_result(design, observed, stats)
+    if controller.errors[0] is not None:
+        raise controller.errors[0]
+    return _tran_result(controller, 0, times, solutions, observed, stats)
 
 
 # --------------------------------------------------------------------- #
@@ -372,128 +370,160 @@ def transient_operating_point_batch(circuits, temperature=27.0,
 class _TranBatchAssembler(_ColumnAssembler):
     """Assembles the batched companion-model system for active designs.
 
-    Transient analogue of :class:`repro.spice.dc._BatchAssembler`, with
-    each design's device states sliced alongside the contexts.
+    Transient analogue of :class:`repro.spice.dc._BatchAssembler`.  Each
+    device column's transient state is one dict of ``(B,)`` arrays, stacked
+    once from the designs' scalar ``init_transient`` dicts (designs whose
+    initial condition failed get zeros; they never enter the active set).
+    The stamps receive it row-sliced, like the contexts; the commits update
+    it in place, so the slices are refreshed whenever a design begins a new
+    step attempt or leaves.  Waveform source values are computed once per
+    design and step attempt (:meth:`begin_attempts`), not once per Newton
+    pass.
     """
 
     def __init__(self, circuits: list[Circuit], temperatures: np.ndarray,
                  states_by_design: list):
         super().__init__(circuits, temperatures)
-        # Per-column list of per-design state dicts (references -- commits
-        # mutate them in place).  Designs whose initial condition failed
-        # carry None; they never enter the active set, so the placeholder is
-        # never dereferenced.
-        self.column_states = [
-            [None if states_by_design[b] is None
-             else states_by_design[b][column[0].name]
-             for b in range(len(circuits))]
-            for column in self.columns]
-        self._indices = self._times = self._dts = self._trap = None
+        started = [states for states in states_by_design if states is not None]
+        self.states = []
+        self.waveform_positions = []
+        for position, column in enumerate(self.columns):
+            name = column[0].name
+            keys = started[0][name] if started else ()
+            state = {key: np.array([0.0 if states is None else states[name][key]
+                                    for states in states_by_design])
+                     for key in keys}
+            # An independent source's value array: a source without a
+            # waveform holds its dc value, so only waveform columns are
+            # re-evaluated as attempts begin.
+            if hasattr(column[0], "value_at"):
+                state["value"] = np.array([device.value_at(0.0)
+                                           for device in column])
+                if any(device.waveform is not None for device in column):
+                    self.waveform_positions.append(position)
+            self.states.append(state)
+        self._step = None
 
-    def _gather_extra(self, index_list: list) -> list:
-        return [[column[i] for i in index_list]
-                for column in self.column_states]
+    def begin_attempts(self, rows: np.ndarray, times: np.ndarray) -> None:
+        """Evaluate the waveform sources of designs ``rows`` at ``times``."""
+        row_list = rows.tolist()
+        time_list = times.tolist()
+        for position in self.waveform_positions:
+            column = self.columns[position]
+            self.states[position]["value"][rows] = [
+                column[b].value_at(t) for b, t in zip(row_list, time_list)]
 
-    def assemble(self, active: list, voltages: np.ndarray, changed: bool):
+    def assemble(self, active: np.ndarray, voltages: np.ndarray,
+                 changed: bool, times: np.ndarray, dts: np.ndarray,
+                 trap: np.ndarray):
         """Stamp the in-flight designs ``active`` at their Newton iterates.
 
-        The per-design index, time, timestep and integration-method arrays
-        are rebuilt only when ``changed`` says a design began a new step
-        attempt or left the batch since the last call.
+        ``times``/``dts``/``trap`` are the controller's full-batch attempt
+        arrays.  They and the states are sliced to ``active`` only when
+        ``changed`` says a design began a new step attempt or left the
+        batch since the last call.
         """
         if changed:
-            self._indices = np.array([d.index for d in active])
-            self._times = np.array([d.t_new for d in active])
-            self._dts = np.array([d.dt for d in active])
-            self._trap = np.array([d.method == "trap" for d in active])
-        indices = self._indices
-        stamper = self._reset_stamper(len(indices))
-        siblings, contexts, temperatures, mosfet_params, states = self._gather(
-            indices)
+            self._step = (times[active], dts[active], trap[active],
+                          [{key: values[active]
+                            for key, values in state.items()}
+                           for state in self.states])
+        step_times, step_dts, step_trap, states = self._step
+        stamper = self._reset_stamper(len(active))
+        siblings, contexts, temperatures, mosfet_params = self._gather(active)
         # One errstate frame for the whole stamp loop, like the DC assembler.
         with np.errstate(over="ignore", invalid="ignore"):
             self._evaluate_mosfets(contexts, mosfet_params, voltages)
             for position, column in enumerate(self.columns):
                 column[0].stamp_transient_batch(
                     stamper, siblings[position], voltages, states[position],
-                    self._times, self._dts, self._trap, temperatures,
+                    step_times, step_dts, step_trap, temperatures,
                     contexts[position])
         # The scalar contract always applies _TRANSIENT_GMIN, so this stamp
         # is unconditional.
         stamper.add_gmin(_TRANSIENT_GMIN)
         return stamper
 
+    def commit(self, rows: np.ndarray, solutions: np.ndarray,
+               dts: np.ndarray, trap: np.ndarray) -> None:
+        """Roll the states of the accepted designs ``rows`` forward."""
+        for position, column in enumerate(self.columns):
+            column[0].commit_transient_batch(solutions, self.states[position],
+                                             rows, dts, trap,
+                                             self.contexts[position])
+
 
 class _TranScalarAssembler(_ScalarAssembler):
     """Assembles a batch of one through the scalar ``stamp_transient`` contract.
 
-    The transient analogue of :class:`repro.spice.dc._ScalarAssembler`.
+    The transient analogue of :class:`repro.spice.dc._ScalarAssembler`.  The
+    design's state is the dict of per-device dicts from
+    :meth:`repro.spice.netlist.Circuit.init_transient_states`, which
+    :meth:`~repro.spice.netlist.Circuit.stamp_transient` stamps and
+    :meth:`~repro.spice.netlist.Circuit.commit_transient` rolls forward.
     """
 
-    def __init__(self, design: "_TranDesign"):
-        super().__init__(design.circuit, design.temperature)
-        self.design = design
+    def __init__(self, circuit: Circuit, temperature: float, states: dict):
+        super().__init__(circuit, temperature)
+        self.states = states
+        self._step = None
 
-    def assemble(self, active: list, voltages: np.ndarray, changed: bool):
+    def begin_attempts(self, rows: np.ndarray, times: np.ndarray) -> None:
+        """Nothing to prepare: scalar stamps read ``state["time"]``."""
+        return
+
+    def assemble(self, active: np.ndarray, voltages: np.ndarray,
+                 changed: bool, times: np.ndarray, dts: np.ndarray,
+                 trap: np.ndarray):
         self.assemblies += 1
-        d = self.design
-        d.circuit.stamp_transient(voltages[0], d.states, d.t_new, d.dt,
-                                  d.method, d.temperature,
-                                  gmin=_TRANSIENT_GMIN, stamper=self.view)
+        if changed:
+            self._step = (float(times[0]), float(dts[0]),
+                          "trap" if trap[0] else "be")
+        time, dt, method = self._step
+        self.circuit.stamp_transient(voltages[0], self.states, time, dt,
+                                     method, self.temperature,
+                                     gmin=_TRANSIENT_GMIN, stamper=self.view)
         return self.stamper
 
+    def commit(self, rows: np.ndarray, solutions: np.ndarray,
+               dts: np.ndarray, trap: np.ndarray) -> None:
+        self.circuit.commit_transient(solutions[0], self.states,
+                                      float(dts[0]), self.temperature)
 
-class _TranDesign:
-    """Controller state of one design inside a transient sweep."""
 
-    __slots__ = ("index", "circuit", "temperature", "states", "t", "dt",
-                 "solution", "times", "solutions", "history", "breakpoints",
-                 "next_break", "n_accepted", "n_rejected", "n_newton",
-                 "t_new", "method", "hit_break", "iterate",
-                 "attempt_iterations", "attempt_residual", "dt_smallest",
-                 "dt_largest", "finished", "error")
+def _divided_difference(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Highest-order Newton divided differences, one per row.
 
-    def __init__(self, index: int, circuit: Circuit, temperature: float):
-        self.index = index
-        self.circuit = circuit
-        self.temperature = temperature
-        self.states: dict[str, dict] | None = None
-        self.t = 0.0
-        self.dt = 0.0
-        self.solution: np.ndarray | None = None
-        self.times: list[float] = [0.0]
-        self.solutions: list[np.ndarray] = []
-        self.history: list[tuple[float, np.ndarray]] = []
-        self.breakpoints: list[float] = []
-        self.next_break = 0
-        self.n_accepted = 0
-        self.n_rejected = 0
-        self.n_newton = 0
-        self.t_new = 0.0
-        self.method = "be"
-        self.hit_break = False
-        self.iterate: np.ndarray | None = None
-        self.attempt_iterations = 0
-        self.attempt_residual = float("nan")
-        self.dt_smallest = float("inf")
-        self.dt_largest = 0.0
-        self.finished = False
-        self.error: Exception | None = None
+    ``times`` is ``(R, n)`` and ``values`` is ``(R, n, nodes)``; the result
+    is each row's ``(nodes,)`` divided difference of order ``n - 1``.
+    """
+    table = values
+    for order in range(1, times.shape[1]):
+        table = ((table[:, 1:] - table[:, :-1])
+                 / (times[:, order:] - times[:, :-order])[:, :, None])
+    return table[:, 0]
 
 
 class _TranController:
     """The adaptive timestep controller, run over any number of designs.
 
     Every design keeps its own time, timestep, BE/trap switching, LTE
-    accept/reject decisions and breakpoint schedule; :meth:`run` batches the
-    Newton iterations of all in-flight designs into one assembly and one
-    stacked solve.  A design's decisions depend only on its own iterates,
+    accept/reject decisions and breakpoint schedule, held as rows of
+    ``(B,)`` arrays; the LTE history is ``(B, 4)`` times and
+    ``(B, 4, n_nodes)`` node voltages (up to three accepted points plus the
+    candidate).  :meth:`run` batches the Newton iterations of all in-flight
+    designs into one assembly and one stacked solve per pass, then settles
+    every design that finished an attempt in that pass at once: divided
+    differences, LTE, accept/reject, the commit and the next timestep are
+    masked array operations over the finishing rows.  Each row sees the
+    same elementwise operations in the same order as a design run alone,
     so its result does not depend on the batch it runs in.
     """
 
-    def __init__(self, t_stop: float, dt_initial, dt_min, dt_max,
-                 reltol: float, abstol: float, newton_tolerance: float,
-                 max_newton_iterations: int, damping: float, max_steps: int):
+    def __init__(self, circuits: list[Circuit], t_stop: float, dt_initial,
+                 dt_min, dt_max, reltol: float, abstol: float,
+                 newton_tolerance: float, max_newton_iterations: int,
+                 damping: float, max_steps: int):
         self.t_stop = t_stop
         self.dt_initial = (t_stop * 1e-4 if dt_initial is None
                            else float(dt_initial))
@@ -507,138 +537,256 @@ class _TranController:
         self.max_steps = max_steps
         self.eps = t_stop * 1e-12
 
-    def start(self, d: _TranDesign, operating_point: OperatingPoint) -> None:
-        """Initialise design ``d`` from its DC initial condition."""
-        d.states = d.circuit.init_transient_states(operating_point,
-                                                   d.temperature)
-        d.solution = operating_point.voltages.copy()
-        d.solutions = [d.solution.copy()]
-        # Accepted (t, solution) history for the divided-difference LTE
-        # estimate; reset at every breakpoint so the estimate never spans a
+        self.circuits = circuits
+        count = len(circuits)
+        self.n_nodes = circuits[0].n_nodes
+        size = self.n_nodes + circuits[0].n_branches
+        self.errors: list[Exception | None] = [None] * count
+        #: Designs that reached t_stop or failed.
+        self.done = np.zeros(count, dtype=bool)
+        self.t = np.zeros(count)
+        self.dt = np.zeros(count)
+        self.t_new = np.zeros(count)
+        self.trap = np.zeros(count, dtype=bool)
+        self.hit_break = np.zeros(count, dtype=bool)
+        self.n_accepted = np.zeros(count, dtype=int)
+        self.n_rejected = np.zeros(count, dtype=int)
+        #: Newton passes run so far.  Every design iterates in every pass
+        #: from the first until it leaves, so its Newton total is the pass
+        #: count when it leaves, and its current attempt has taken
+        #: ``passes - attempt_start`` iterations.
+        self.passes = 0
+        self.n_newton = np.zeros(count, dtype=int)
+        self.attempt_start = np.zeros(count, dtype=int)
+        self.attempt_residual = np.full(count, np.nan)
+        self.solution = np.zeros((count, size))
+        self.iterate = np.zeros((count, size))
+        # Accepted (t, node voltages) history for the divided-difference
+        # LTE estimate; an attempt's candidate goes in slot history_len.
+        # Reset at every breakpoint so the estimate never spans a
         # discontinuity.
-        d.history = [(0.0, d.solution.copy())]
-        d.breakpoints = _collect_breakpoints(d.circuit, self.t_stop)
-        d.dt = min(self.dt_initial, self.dt_max, d.breakpoints[0])
+        self.history_t = np.zeros((count, 4))
+        self.history_v = np.zeros((count, 4, self.n_nodes))
+        self.history_len = np.ones(count, dtype=int)
+        schedules = [_collect_breakpoints(circuit, t_stop)
+                     for circuit in circuits]
+        self.breakpoints = np.full((count, max(map(len, schedules))), np.inf)
+        for b, schedule in enumerate(schedules):
+            self.breakpoints[b, :len(schedule)] = schedule
+        self.next_break = np.zeros(count, dtype=int)
+        self.break_time = self.breakpoints[:, 0].copy()
+        #: Accepted points as ``(rows, times, solutions, timesteps)``, one
+        #: entry per pass in order; the first entry holds the initial
+        #: conditions (with NaN timesteps).
+        self.log: list[tuple] = []
 
-    def begin_attempt(self, d: _TranDesign) -> None:
-        """Set up design ``d``'s next step attempt (or fail on max_steps)."""
-        if d.n_accepted + d.n_rejected >= self.max_steps:
-            d.error = ConvergenceError(
-                f"transient analysis of {d.circuit.title!r} exceeded "
-                f"{self.max_steps} steps at t={d.t:.3e}s "
-                f"({d.n_accepted} accepted, {d.n_rejected} rejected)")
-            return
+    def start(self, rows: np.ndarray, voltages: list) -> None:
+        """Initialise designs ``rows`` from their DC solutions ``voltages``."""
+        solutions = np.array(voltages, dtype=float).reshape(
+            len(rows), self.solution.shape[1])
+        self.solution[rows] = solutions
+        self.history_v[rows, 0] = solutions[:, :self.n_nodes]
+        self.dt[rows] = np.minimum(min(self.dt_initial, self.dt_max),
+                                   self.break_time[rows])
+        self.log.append((rows, self.t[rows], self.solution[rows],
+                         np.full(len(rows), np.nan)))
+
+    def leave(self, rows) -> None:
+        """Designs ``rows`` reached t_stop or failed."""
+        self.done[rows] = True
+        self.n_newton[rows] = self.passes
+
+    def fail(self, b: int, error: Exception) -> None:
+        """Design ``b`` stops here with ``error``."""
+        self.errors[b] = error
+        self.leave(b)
+
+    def begin_attempts(self, rows: np.ndarray, assembler) -> None:
+        """Set up the next step attempt of designs ``rows`` (or fail on max_steps)."""
+        over = self.n_accepted[rows] + self.n_rejected[rows] >= self.max_steps
+        if np.count_nonzero(over):
+            for b in rows[over].tolist():
+                self.fail(b, ConvergenceError(
+                    f"transient analysis of {self.circuits[b].title!r} "
+                    f"exceeded {self.max_steps} steps at "
+                    f"t={float(self.t[b]):.3e}s "
+                    f"({int(self.n_accepted[b])} accepted, "
+                    f"{int(self.n_rejected[b])} rejected)"))
+            rows = rows[~over]
         eps = self.eps
-        while d.breakpoints[d.next_break] <= d.t + eps:
-            d.next_break += 1
-        d.dt = min(d.dt, self.dt_max, self.t_stop - d.t)
-        d.hit_break = d.t + d.dt >= d.breakpoints[d.next_break] - eps
-        if d.hit_break:
-            d.dt = d.breakpoints[d.next_break] - d.t
+        t = self.t[rows]
+        passed = (self.break_time[rows] <= t + eps).nonzero()[0]
+        while passed.size:
+            ahead = rows[passed]
+            self.next_break[ahead] += 1
+            self.break_time[ahead] = self.breakpoints[ahead,
+                                                      self.next_break[ahead]]
+            passed = passed[self.break_time[ahead] <= t[passed] + eps]
+        breakpoint = self.break_time[rows]
+        dt = np.minimum(np.minimum(self.dt[rows], self.dt_max),
+                        self.t_stop - t)
+        hit_break = t + dt >= breakpoint - eps
+        dt = np.where(hit_break, breakpoint - t, dt)
+        t_new = t + dt
+        self.dt[rows] = dt
+        self.hit_break[rows] = hit_break
+        self.t_new[rows] = t_new
         # Backward Euler until three accepted points exist past the last
         # breakpoint, trapezoidal afterwards.
-        d.method = "be" if len(d.history) < 3 else "trap"
-        d.t_new = d.t + d.dt
-        # The solver owns the reserved "time"/"method" state keys; they are
-        # fixed for the whole attempt.
-        for state in d.states.values():
-            state["time"] = d.t_new
-            state["method"] = d.method
-        d.iterate = d.solution.copy()
-        d.attempt_iterations = 0
-        d.attempt_residual = float("nan")
+        self.trap[rows] = self.history_len[rows] == 3
+        self.iterate[rows] = self.solution[rows]
+        self.attempt_start[rows] = self.passes
+        self.attempt_residual[rows] = np.nan
+        assembler.begin_attempts(rows, t_new)
 
-    def finish_attempt(self, d: _TranDesign, converged: bool) -> None:
-        """Accept or reject design ``d``'s attempt and pick the next step."""
-        new_solution = d.iterate
-        if not converged:
-            d.n_rejected += 1
-            d.dt *= 0.25
-            if d.dt < self.dt_min:
-                d.error = ConvergenceError(
-                    f"transient Newton iteration of {d.circuit.title!r} "
-                    f"failed at t={d.t_new:.3e}s with dt={d.dt:.3e}s after "
-                    f"{d.attempt_iterations} iterations "
-                    f"(residual={d.attempt_residual:.3e})")
+    def reject_newton(self, rows: np.ndarray, assembler) -> None:
+        """Designs ``rows`` failed Newton: quarter the step and retry."""
+        self.n_rejected[rows] += 1
+        dt = self.dt[rows] * 0.25
+        self.dt[rows] = dt
+        under = dt < self.dt_min
+        if np.count_nonzero(under):
+            for b in rows[under].tolist():
+                self.fail(b, ConvergenceError(
+                    f"transient Newton iteration of "
+                    f"{self.circuits[b].title!r} failed at "
+                    f"t={float(self.t_new[b]):.3e}s with "
+                    f"dt={float(self.dt[b]):.3e}s after "
+                    f"{int(self.passes - self.attempt_start[b])} iterations "
+                    f"(residual={float(self.attempt_residual[b]):.3e})"))
+            rows = rows[~under]
+        self.begin_attempts(rows, assembler)
+
+    def _error_ratio(self, rows: np.ndarray, solutions: np.ndarray,
+                     dt: np.ndarray, trap: np.ndarray) -> np.ndarray:
+        """Max LTE-to-tolerance ratio of each candidate of ``rows``.
+
+        The estimate divides differences of the accepted history plus the
+        candidate.  BE error ~ (dt^2/2) v'' with v'' ~ 2*DD2; trapezoidal
+        error ~ (dt^3/12) v''' with v''' ~ 6*DD3.
+        """
+        n_nodes = self.n_nodes
+        n_trap = np.count_nonzero(trap)
+        if n_trap in (0, len(rows)):
+            points = 4 if n_trap else 3
+            dd = _divided_difference(self.history_t[rows, :points],
+                                     self.history_v[rows, :points])
+        else:
+            dd = np.empty((len(rows), n_nodes))
+            for points, group in ((3, ~trap), (4, trap)):
+                group_rows = rows[group]
+                dd[group] = _divided_difference(
+                    self.history_t[group_rows, :points],
+                    self.history_v[group_rows, :points])
+        # The dt powers stay Python float math, as in a serial step.
+        coefficient = np.array(
+            [0.5 * step**3 if method_trap else step**2
+             for step, method_trap in zip(dt.tolist(), trap.tolist())])
+        lte = coefficient[:, None] * np.abs(dd)
+        tolerance = (self.reltol * np.maximum(
+            np.abs(solutions[:, :n_nodes]),
+            np.abs(self.solution[rows, :n_nodes])) + self.abstol)
+        return (lte / tolerance).max(axis=1)
+
+    def finish_converged(self, rows: np.ndarray, solutions: np.ndarray,
+                         assembler) -> None:
+        """Accept or reject the converged attempts of ``rows``; step on."""
+        n_nodes = self.n_nodes
+        dt = self.dt[rows]
+        trap = self.trap[rows]
+        history_len = self.history_len[rows]
+        self.history_t[rows, history_len] = self.t_new[rows]
+        self.history_v[rows, history_len] = solutions[:, :n_nodes]
+        # A one-point history gives no LTE estimate.
+        estimated = history_len > 1
+        n_estimated = np.count_nonzero(estimated)
+        if n_estimated == len(rows):
+            ratio = self._error_ratio(rows, solutions, dt, trap)
+        else:
+            ratio = np.zeros(len(rows))
+            if n_estimated:
+                ratio[estimated] = self._error_ratio(
+                    rows[estimated], solutions[estimated], dt[estimated],
+                    trap[estimated])
+        reject = ratio > 1.0
+        if np.count_nonzero(reject):
+            rejected = rows[reject]
+            self.n_rejected[rejected] += 1
+            shrunk = np.array(
+                [step * max(0.1, 0.9 * error_ratio
+                            ** (-1.0 / (3 if method_trap else 2)))
+                 for step, error_ratio, method_trap in zip(
+                     dt[reject].tolist(), ratio[reject].tolist(),
+                     trap[reject].tolist())])
+            self.dt[rejected] = shrunk
+            under = shrunk < self.dt_min
+            for b in rejected[under].tolist():
+                self.fail(b, ConvergenceError(
+                    f"transient timestep of {self.circuits[b].title!r} "
+                    f"underflowed at t={float(self.t_new[b]):.3e}s (LTE "
+                    f"never satisfied) ({int(self.n_accepted[b])} "
+                    f"accepted, {int(self.n_rejected[b])} rejected)"))
+            self.begin_attempts(rejected[~under], assembler)
+            accept = ~reject
+            rows, solutions, dt, trap, history_len, estimated, ratio = (
+                rows[accept], solutions[accept], dt[accept], trap[accept],
+                history_len[accept], estimated[accept], ratio[accept])
+            if not rows.size:
                 return
-            self.begin_attempt(d)
-            return
-        # Local-truncation-error estimate from divided differences of the
-        # accepted history plus the candidate point.  BE error ~
-        # (dt^2/2) v'' with v'' ~ 2*DD2; trapezoidal error ~ (dt^3/12)
-        # v''' with v''' ~ 6*DD3.
-        n_nodes = d.circuit.n_nodes
-        error_ratio = None
-        if len(d.history) >= 2:
-            order = 3 if d.method == "trap" else 2
-            sample = d.history[-order:] + [(d.t_new, new_solution)]
-            dd = _divided_difference([s[0] for s in sample],
-                                     [s[1][:n_nodes] for s in sample])
-            lte = (0.5 * d.dt**3 * np.abs(dd) if d.method == "trap"
-                   else d.dt**2 * np.abs(dd))
-            tolerance = (self.reltol * np.maximum(
-                np.abs(new_solution[:n_nodes]), np.abs(d.solution[:n_nodes]))
-                + self.abstol)
-            error_ratio = float(np.max(lte / tolerance))
-            if error_ratio > 1.0:
-                d.n_rejected += 1
-                d.dt *= max(0.1, 0.9 * error_ratio ** (-1.0 / order))
-                if d.dt < self.dt_min:
-                    d.error = ConvergenceError(
-                        f"transient timestep of {d.circuit.title!r} "
-                        f"underflowed at t={d.t_new:.3e}s (LTE never "
-                        f"satisfied) ({d.n_accepted} accepted, "
-                        f"{d.n_rejected} rejected)")
-                    return
-                self.begin_attempt(d)
-                return
 
-        d.circuit.commit_transient(new_solution, d.states, d.dt,
-                                   d.temperature)
-        if d.dt < d.dt_smallest:
-            d.dt_smallest = d.dt
-        if d.dt > d.dt_largest:
-            d.dt_largest = d.dt
-        d.t = d.t_new
-        d.solution = new_solution
-        d.n_accepted += 1
-        d.times.append(d.t)
-        d.solutions.append(d.solution.copy())
-        d.history.append((d.t, d.solution.copy()))
-        if len(d.history) > 3:
-            d.history.pop(0)
-
-        if d.hit_break:
+        assembler.commit(rows, solutions, dt, trap)
+        t = self.t_new[rows]
+        self.t[rows] = t
+        self.solution[rows] = solutions
+        self.n_accepted[rows] += 1
+        self.log.append((rows, t, solutions, dt))
+        # The candidate joins the history; beyond three points the oldest
+        # drops out.
+        full = history_len == 3
+        if np.count_nonzero(full):
+            shifted = rows[full]
+            self.history_t[shifted, :3] = self.history_t[shifted, 1:]
+            self.history_v[shifted, :3] = self.history_v[shifted, 1:]
+        self.history_len[rows] = np.minimum(history_len + 1, 3)
+        hit_break = self.hit_break[rows]
+        if np.count_nonzero(hit_break):
             # Restart integration behind the corner: BE, small steps, and
             # an LTE history that does not bridge the discontinuity.
-            d.history = [(d.t, d.solution.copy())]
-            d.dt = min(self.dt_initial, self.dt_max)
-        elif error_ratio is None:
-            d.dt = min(d.dt * 2.0, self.dt_max)
-        else:
-            order = 3 if d.method == "trap" else 2
-            factor = 0.9 * max(error_ratio, 1e-10) ** (-1.0 / order)
-            d.dt = min(d.dt * min(2.0, max(0.3, factor)), self.dt_max)
+            broken = rows[hit_break]
+            self.history_t[broken, 0] = t[hit_break]
+            self.history_v[broken, 0] = solutions[hit_break, :n_nodes]
+            self.history_len[broken] = 1
+        dt_max = self.dt_max
+        self.dt[rows] = [
+            min(self.dt_initial, dt_max) if corner
+            else min(step * 2.0, dt_max) if not has_ratio
+            else min(step * min(2.0, max(0.3, 0.9 * max(error_ratio, 1e-10)
+                                         ** (-1.0 / (3 if method_trap else 2)))),
+                     dt_max)
+            for step, corner, has_ratio, error_ratio, method_trap in zip(
+                dt.tolist(), hit_break.tolist(), estimated.tolist(),
+                ratio.tolist(), trap.tolist())]
+        going = t < self.t_stop - self.eps
+        if np.count_nonzero(going) < len(rows):
+            self.leave(rows[~going])
+            rows = rows[going]
+        self.begin_attempts(rows, assembler)
 
-        if d.t < self.t_stop - self.eps:
-            self.begin_attempt(d)
-        else:
-            d.finished = True
-
-    def run(self, designs: list, assembler) -> None:
-        """Step every started design to ``t_stop`` or to its error."""
-        for d in designs:
-            if d.error is None:
-                self.begin_attempt(d)
-        active = [d for d in designs if d.error is None and not d.finished]
+    def run(self, rows: np.ndarray, assembler) -> None:
+        """Step the started designs ``rows`` to ``t_stop`` or to their error."""
+        self.begin_attempts(rows, assembler)
+        active = rows[~self.done[rows]]
         damping = self.damping
         changed = True
-        while active:
+        while active.size:
             # Unless a design began a new attempt or left, every iterate is
             # the previous pass's damped step: reuse that array as it is.
             if changed:
-                voltages = np.stack([d.iterate for d in active])
-            stamper = assembler.assemble(active, voltages, changed)
+                voltages = self.iterate[active]
+                deadline = (self.attempt_start[active]
+                            + self.max_newton_iterations)
+            stamper = assembler.assemble(active, voltages, changed,
+                                         self.t_new, self.dt, self.trap)
             solve_errors = None
             try:
                 new_voltages = stamper.solve()
@@ -646,63 +794,84 @@ class _TranController:
                 solve_errors = [None] * len(active)
                 new_voltages = _solve_rows_individually(
                     stamper, assembler.size, solve_errors)
+            self.passes += 1
             finite = np.isfinite(new_voltages).all(axis=1)
             delta = new_voltages - voltages
             residuals = np.abs(delta).max(axis=1)
             # np.clip's semantics in two bare ufunc calls (NaN propagates).
             voltages = voltages + np.minimum(np.maximum(delta, -damping),
                                              damping)
-            changed = False
-            still_active = []
-            for i, d in enumerate(active):
-                d.attempt_iterations += 1
-                d.n_newton += 1
-                if solve_errors is not None and solve_errors[i] is not None:
-                    d.error = solve_errors[i]
-                elif not finite[i]:
-                    # Bail without applying the update (and without
-                    # refreshing the attempt residual).
-                    self.finish_attempt(d, False)
-                else:
-                    d.iterate = voltages[i]
-                    d.attempt_residual = float(residuals[i])
-                    if d.attempt_residual < self.newton_tolerance:
-                        self.finish_attempt(d, True)
-                    elif d.attempt_iterations >= self.max_newton_iterations:
-                        self.finish_attempt(d, False)
-                    else:
-                        still_active.append(d)
-                        continue
-                changed = True
-                if d.error is None and not d.finished:
-                    still_active.append(d)
-            active = still_active
+            # NaN residuals compare False, so only finite rows converge.
+            converged = residuals < self.newton_tolerance
+            stop = converged | (self.passes >= deadline) | ~finite
+            if not np.count_nonzero(stop):
+                changed = False
+                continue
+            changed = True
+            # A bail-out applies no update and keeps the attempt residual.
+            self.attempt_residual[active[finite]] = residuals[finite]
+            self.iterate[active] = voltages
+            failed = stop & ~converged
+            if solve_errors is not None:
+                for b, error in zip(active.tolist(), solve_errors):
+                    if error is not None:
+                        self.fail(b, error)
+                failed &= ~self.done[active]
+            if np.count_nonzero(failed):
+                self.reject_newton(active[failed], assembler)
+            if np.count_nonzero(converged):
+                self.finish_converged(active[converged], voltages[converged],
+                                      assembler)
+            active = active[~self.done[active]]
 
 
-def _tran_stats(d: _TranDesign, **batch) -> SolveStats:
-    """Design ``d``'s :class:`SolveStats`; ``batch`` adds the batch-only fields."""
-    accepted = d.error is None and d.n_accepted > 0
+def _tran_stats(controller: _TranController, b: int, dts: np.ndarray,
+                **batch) -> SolveStats:
+    """Design ``b``'s :class:`SolveStats` given its logged timesteps ``dts``.
+
+    ``batch`` adds the batch-only fields.
+    """
+    converged = controller.errors[b] is None
+    n_accepted = int(controller.n_accepted[b])
+    accepted = dts[1:] if converged and n_accepted > 0 else None
     return SolveStats(
-        analysis="transient", converged=d.error is None, iterations=d.n_newton,
-        n_accepted=d.n_accepted, n_rejected=d.n_rejected,
-        final_residual=d.attempt_residual, final_gmin=_TRANSIENT_GMIN,
-        dt_min=d.dt_smallest if accepted else float("nan"),
-        dt_max=d.dt_largest if accepted else float("nan"), **batch)
+        analysis="transient", converged=converged,
+        iterations=int(controller.n_newton[b]), n_accepted=n_accepted,
+        n_rejected=int(controller.n_rejected[b]),
+        final_residual=float(controller.attempt_residual[b]),
+        final_gmin=_TRANSIENT_GMIN,
+        dt_min=float("nan") if accepted is None else float(accepted.min()),
+        dt_max=float("nan") if accepted is None else float(accepted.max()),
+        **batch)
 
 
-def _tran_result(d: _TranDesign, observed: list[str],
+def _split_log(controller: _TranController) -> list[tuple]:
+    """Per design: its logged ``(times, solutions, timesteps)``, in step order."""
+    rows, times, solutions, dts = (np.concatenate(column)
+                                   for column in zip(*controller.log))
+    order = np.argsort(rows, kind="stable")
+    bounds = np.cumsum(np.bincount(
+        rows, minlength=len(controller.circuits)))[:-1]
+    return list(zip(np.split(times[order], bounds),
+                    np.split(solutions[order], bounds),
+                    np.split(dts[order], bounds)))
+
+
+def _tran_result(controller: _TranController, b: int, times: np.ndarray,
+                 solutions: np.ndarray, observed: list[str],
                  stats: SolveStats) -> TransientResult:
-    """Design ``d``'s accepted waveforms at the ``observed`` nodes."""
-    times = np.array(d.times)
-    stacked = np.stack(d.solutions, axis=0)
+    """Design ``b``'s accepted waveforms at the ``observed`` nodes."""
+    circuit = controller.circuits[b]
     responses: dict[str, np.ndarray] = {}
     for node in observed:
-        index = d.circuit.node_index(node)
+        index = circuit.node_index(node)
         responses[node] = (np.zeros(times.shape[0]) if index < 0
-                           else stacked[:, index].copy())
+                           else solutions[:, index].copy())
     return TransientResult(times=times, node_voltages=responses,
-                           n_accepted=d.n_accepted, n_rejected=d.n_rejected,
-                           n_newton_iterations=d.n_newton, stats=stats)
+                           n_accepted=int(controller.n_accepted[b]),
+                           n_rejected=int(controller.n_rejected[b]),
+                           n_newton_iterations=int(controller.n_newton[b]),
+                           stats=stats)
 
 
 def transient_analysis_batch(circuits, t_stop: float,
@@ -720,15 +889,18 @@ def transient_analysis_batch(circuits, t_stop: float,
                              return_errors: bool = False) -> list:
     """Transient analysis of ``B`` topology-identical circuits at once.
 
-    Each design runs its own timestep controller -- its own time,
-    timestep, BE/trap switching, LTE accept/reject decisions and breakpoint
-    schedule -- but the Newton solves of all in-flight designs are batched:
-    one stacked assembly and solve per iteration.  Designs step
-    *asynchronously* (one may be on its 40th accepted step while another is
-    still rejecting its 2nd); a design leaves the batch only when it reaches
-    ``t_stop`` or fails.  Results are bit-identical to
-    :func:`transient_analysis` per circuit:
-    identical accepted times, waveforms and accept/reject/Newton counters.
+    Each design has its own controller state -- its own time, timestep,
+    BE/trap switching, LTE accept/reject decisions and breakpoint schedule
+    -- held as one row of the controller's arrays, while the Newton solves
+    of all in-flight designs are batched: one stacked assembly and solve
+    per pass, after which every design that finished a step attempt in
+    that pass is settled with array operations over those rows.  Designs
+    step *asynchronously* (one may be on its 40th accepted step while
+    another is still rejecting its 2nd); a design leaves the batch only
+    when it reaches ``t_stop`` or fails.  Results are bit-identical to
+    :func:`transient_analysis` per circuit: identical accepted times,
+    waveforms, accept/reject/Newton counters, timestep statistics and
+    failure messages, whatever else shares the batch.
 
     Parameters mirror :func:`transient_analysis`, plus:
 
@@ -783,38 +955,44 @@ def transient_analysis_batch(circuits, t_stop: float,
                                                            temperatures)
 
     observed = list(observe) if observe is not None else first.nodes
-    controller = _TranController(t_stop, dt_initial, dt_min, dt_max, reltol,
-                                 abstol, newton_tolerance,
+    controller = _TranController(circuits, t_stop, dt_initial, dt_min,
+                                 dt_max, reltol, abstol, newton_tolerance,
                                  max_newton_iterations, damping, max_steps)
-    designs = [_TranDesign(b, circuit, float(temperatures[b]))
-               for b, circuit in enumerate(circuits)]
-    for d, op in zip(designs, operating_points):
+    states = []
+    for b, (circuit, op) in enumerate(zip(circuits, operating_points)):
         if op.converged:
-            controller.start(d, op)
+            states.append(circuit.init_transient_states(
+                op, float(temperatures[b])))
         else:
-            d.error = ConvergenceError(
-                _initial_condition_message(d.circuit.title, op))
-    assembler = (_TranScalarAssembler(designs[0]) if batch_size == 1
-                 else _TranBatchAssembler(circuits, temperatures,
-                                          [d.states for d in designs]))
+            states.append(None)
+            controller.fail(b, ConvergenceError(
+                _initial_condition_message(circuit.title, op)))
+    rows = np.flatnonzero(~controller.done)
+    controller.start(rows, [operating_points[b].voltages
+                            for b in rows.tolist()])
+    assembler = (_TranScalarAssembler(first, float(temperatures[0]), states[0])
+                 if batch_size == 1
+                 else _TranBatchAssembler(circuits, temperatures, states))
 
     with telemetry.span("spice.transient_batch", batch=batch_size,
                         circuit=first.title):
-        controller.run(designs, assembler)
+        controller.run(rows, assembler)
 
     occupancy = assembler.occupancy
     if occupancy == occupancy:  # skip the no-assembly NaN
         telemetry.observe("repro_batch_occupancy", occupancy,
                           telemetry.FRACTION_BUCKETS)
     outcomes: list = []
-    for d in designs:
-        stats = _tran_stats(d, batch_size=batch_size,
+    for b, (times, solutions, dts) in enumerate(_split_log(controller)):
+        stats = _tran_stats(controller, b, dts, batch_size=batch_size,
                             batch_occupancy=occupancy)
         telemetry.record_solve(stats)
-        if d.error is not None:
+        error = controller.errors[b]
+        if error is not None:
             if not return_errors:
-                raise d.error
-            outcomes.append(d.error)
+                raise error
+            outcomes.append(error)
             continue
-        outcomes.append(_tran_result(d, observed, stats))
+        outcomes.append(_tran_result(controller, b, times, solutions,
+                                     observed, stats))
     return outcomes

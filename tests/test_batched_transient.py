@@ -228,6 +228,48 @@ class TestBatchedTransient:
 
 
 # ===================================================================== #
+# batch composition                                                     #
+# ===================================================================== #
+#: Controller settings under which the ring's eight designs end three ways:
+#: four reach RING_T_STOP, one underflows dt_min on LTE rejections and
+#: three exceed max_steps mid-run.
+RING_LIMITS = dict(max_steps=380, dt_min=8e-13)
+
+
+class TestBatchComposition:
+    """A design's transient does not depend on which designs share its batch.
+
+    The oscillating ring's designs finish step attempts at different
+    Newton passes, and designs that fail mid-run leave the batch while the
+    others step on.
+    """
+
+    def test_outcome_independent_of_batch_composition(self):
+        problem = make_problem("ring_vco")
+        builder = problem.bench.builders["main"]
+        designs = _designs(problem, "ring_vco", n_random=7)
+        serial = _serial_outcomes(builder, designs, RING_T_STOP,
+                                  **RING_LIMITS)
+        messages = [str(outcome) for outcome in serial
+                    if isinstance(outcome, ConvergenceError)]
+        assert sum("exceeded 380 steps" in m for m in messages) >= 2
+        assert any("underflowed" in m for m in messages)
+        order = np.random.default_rng(5).permutation(len(designs)).tolist()
+        survivors = [i for i in order
+                     if not isinstance(serial[i], Exception)]
+        assert len(survivors) >= 3
+        for selection in (survivors, survivors[1:3], order):
+            batched = transient_analysis_batch(
+                [builder(designs[i]) for i in selection], RING_T_STOP,
+                return_errors=True, **RING_LIMITS)
+            for i, outcome in zip(selection, batched):
+                assert_tran_identical(serial[i], outcome)
+                if not isinstance(outcome, Exception):
+                    assert outcome.stats.dt_min == serial[i].stats.dt_min
+                    assert outcome.stats.dt_max == serial[i].stats.dt_max
+
+
+# ===================================================================== #
 # linear RC ladder                                                      #
 # ===================================================================== #
 def _ladder(n_sections, r_scale):

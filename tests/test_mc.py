@@ -11,7 +11,9 @@ sizing problems end to end.
 from __future__ import annotations
 
 import gc
+import hashlib
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -75,6 +77,26 @@ class TestVariation:
         other = tech.with_variation(
             VariationSample.from_zscores(4, ("MN1",), [1.5], [-0.5]))
         assert other.fingerprint != varied.fingerprint
+
+    def test_fingerprint_is_the_digest_of_the_whole_card(self):
+        # The fingerprint reuses the nominal part's text across samples;
+        # the digest must stay that of repr(astuple(card)) for every card.
+        tech = get_technology("180nm")
+        sample = VariationSample.from_zscores(
+            3, ("MN1", "MP2"), [1.5, -0.25], [-0.5, 2.0])
+        other = VariationSample.from_zscores(7, ("MN1",), [0.1], [0.2])
+        corner = tech.with_corner(nmos_kp_scale=0.9, pmos_vth_shift=0.02,
+                                  vdd_scale=0.9, corner="ss")
+        cards = [tech, corner, tech.with_variation(sample),
+                 corner.with_variation(sample),
+                 tech.with_variation(sample).with_corner(corner="ff"),
+                 tech.with_variation(sample).with_variation(other),
+                 tech.with_variation(sample).with_variation(None)]
+        for card in cards:
+            expected = hashlib.sha1(
+                repr(astuple(card)).encode()).hexdigest()[:16]
+            assert card.fingerprint == expected
+        assert len({card.fingerprint for card in cards}) == 6
 
     def test_apply_variation_shifts_named_mosfets(self):
         problem = make_problem("two_stage_opamp")
