@@ -256,9 +256,10 @@ class MonteCarloRunner(BackendOwner):
             # One fan-out call per batch.  The per-sample clones are derived
             # here for every backend, and each still builds its own perturbed
             # netlist, so stacked and serial sessions agree bit for bit.
+            clones = [problem.with_variation(sample) for sample in batch]
             outcomes = self.backend.simulate(
-                [(problem.with_variation(sample), design) for sample in batch])
-            for sample, outcome in zip(batch, outcomes):
+                [(clone, design) for clone in clones])
+            for sample, clone, outcome in zip(batch, clones, outcomes):
                 if isinstance(outcome, SimulationFailure):
                     n_failures += 1
                     passed, metrics = False, dict(failed_metrics)
@@ -268,8 +269,12 @@ class MonteCarloRunner(BackendOwner):
                 estimator.update(passed)
                 per_sample.append(metrics)
                 samples.append(sample)
-                fingerprints.append(
-                    base_tech.with_variation(sample).fingerprint)
+                # A circuit clone already carries the derived card; other
+                # problem classes get it derived here.
+                card = getattr(clone, "technology", None)
+                if card is None or card.variation is not sample:
+                    card = base_tech.with_variation(sample)
+                fingerprints.append(card.fingerprint)
             if (estimator.n_samples >= config.n_min
                     and estimator.reached(config.ci_half_width)):
                 stopped_by = "ci_target"

@@ -130,9 +130,15 @@ class Technology:
 
         The digest is of ``repr(astuple(self))``.  ``variation`` is the last
         field, so that text is the nominal part's (cached, and shared by
-        every :meth:`with_variation` sample) followed by the sample's.
+        every :meth:`with_variation` sample) followed by the sample's.  A
+        :class:`VariationSample` holds only an int and flat
+        ``(str, float, float)`` rows, so its ``astuple`` text is spelled out
+        directly instead of through the recursive ``astuple`` walk.
         """
-        variation = None if self.variation is None else astuple(self.variation)
+        sample = self.variation
+        variation = None if sample is None else (
+            sample.index,
+            tuple((d.device, d.vth_z, d.beta_z) for d in sample.devices))
         text = f"{self._nominal_repr}{variation!r})"
         return hashlib.sha1(text.encode()).hexdigest()[:16]
 

@@ -16,7 +16,7 @@ registers itself with :func:`register_optimizer`, declaring
 
 This module is a leaf: it imports only the standard library, so optimizer
 modules can import the decorator without cycles.  Resolution lazily imports
-the built-in optimizer packages, so ``resolve_optimizer("kato")`` works even
+the built-in optimizer modules, so ``resolve_optimizer("kato")`` works even
 when :mod:`repro.core` has not been imported yet.
 """
 
@@ -114,8 +114,12 @@ class OptimizerSpec:
 _OPTIMIZERS: dict[str, OptimizerSpec] = {}
 _ALIASES: dict[str, str] = {}
 
-#: Modules whose import triggers the built-in registrations.
-_BUILTIN_MODULES = ("repro.bo", "repro.baselines", "repro.core")
+#: The modules whose import runs the built-in registrations.  They are
+#: listed one by one because :mod:`repro.bo` is a lazy package: importing
+#: it registers nothing.
+_BUILTIN_MODULES = ("repro.bo.random_search", "repro.bo.smac_rf", "repro.bo.mace",
+                    "repro.baselines.mesmoc", "repro.baselines.tlmbo",
+                    "repro.baselines.usemoc", "repro.core.kato")
 _builtins_loaded = False
 
 
@@ -188,7 +192,7 @@ def register_optimizer(name: str, *, aliases: tuple[str, ...] | list[str] = (),
 
 
 def _ensure_builtins() -> None:
-    """Import the built-in optimizer packages so their entries exist."""
+    """Import the built-in optimizer modules so their entries exist."""
     global _builtins_loaded
     if _builtins_loaded:
         return
